@@ -44,6 +44,9 @@ from .reference import X35_LOW_TRACE, x35_reference_violations
 
 ENV_CACHE_DIR = "SIEGEL2_CACHE_DIR"
 DEFAULT_TRACE_BOUND = 12
+# the cost of a cold build grows steeply with N; larger bounds
+# are refused before any work starts
+MAX_TRACE_BOUND = 40
 DEFAULT_PRIME = 23
 
 _VERDICT_STATUS = {CERTIFIED: 0, REFUTED: 1, INSUFFICIENT: 2}
@@ -57,6 +60,10 @@ class Config:
 
 
 def _config(args) -> Config:
+    if args.trace_bound > MAX_TRACE_BOUND:
+        raise ValueError(
+            f"trace bound {args.trace_bound} exceeds the maximum {MAX_TRACE_BOUND}"
+        )
     if args.cache_dir is not None:
         cache_dir = Path(args.cache_dir)
     else:
@@ -200,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--trace-bound", type=int, default=DEFAULT_TRACE_BOUND,
-            help="truncation: indices with trace <= N are tracked (default 12)",
+            help="truncation: indices with trace <= N are tracked "
+            f"(default {DEFAULT_TRACE_BOUND}, at most {MAX_TRACE_BOUND})",
         )
         p.add_argument(
             "--cache-dir", default=None,

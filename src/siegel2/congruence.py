@@ -103,7 +103,6 @@ class SturmBound:
     weight: int
     prime: int
     bound: TIndex  # verdict follows once all T preceding/equal vanish
-    r0: int
 
 
 def _require_prime_ge5(p: int) -> None:
@@ -116,7 +115,7 @@ def sturm_bound_even(k: int, p: int) -> SturmBound:
         raise ValueError("even positive weight required")
     _require_prime_ge5(p)
     t = k // 10
-    return SturmBound("even", k, p, TIndex(t, t, 2 * t), 2 * t)
+    return SturmBound("even", k, p, TIndex(t, t, 2 * t))
 
 
 def sturm_bound_odd(k: int, p: int) -> SturmBound:
@@ -124,7 +123,7 @@ def sturm_bound_odd(k: int, p: int) -> SturmBound:
         raise ValueError("odd weight >= 35 required")
     _require_prime_ge5(p)
     t = (k - 35) // 10
-    return SturmBound("odd", k, p, TIndex(t + 2, t + 3, 2 * t - 1), 2 * t)
+    return SturmBound("odd", k, p, TIndex(t + 2, t + 3, 2 * t - 1))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ coefficients after normalization, which is enforced.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -317,14 +318,24 @@ def cache_path(cache_dir, name: str, trace_bound: int) -> Path:
 
 
 def save_generator_set(gen: GeneratorSet, cache_dir) -> list[Path]:
-    """Write the ten expansion files (five E's, five X's); returns the paths."""
+    """Write the ten expansion files (five E's, five X's); returns the paths.
+
+    Each file is written to a temporary file in the cache directory (named
+    by the process id, so concurrent builds do not share one) and then
+    renamed over its final name, so a reader never sees a partial file.
+    """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     forms = {f"E{k}": v for k, v in gen.eisenstein.items()} | gen.generators()
     for name in CACHE_NAMES:
         path = cache_path(cache_dir, name, gen.trace_bound)
-        path.write_text(forms[name].to_text())
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(forms[name].to_text())
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)  # left over only when a step failed
         paths.append(path)
     return paths
 

@@ -13,6 +13,12 @@ Conventions:
   squarefree, or D = 4m with m ≡ 2, 3 (mod 4) and squarefree.
 * chi_D is the Kronecker symbol (D/·); for fundamental D it is the real
   primitive character mod |D|, and L(1-r, chi_D) = -B_{r,chi_D}/r.
+* B_{n,chi} = q^(n-1) sum_{a=1}^{q} chi(a) B_n(a/q) with q = |D|.  Expanding
+  the Bernoulli polynomial turns this into integer power sums of chi,
+
+      B_{n,chi} = sum_j C(n, j) B_j q^(j-1) S_{n-j},   S_k = sum_{a=1}^{q} chi(a) a^k,
+
+  so the only fractions are the Bernoulli numbers B_j and the factor 1/q.
 * H(r, 0) = zeta(1-2r).  For N > 0 write (-1)^r N = D f^2 with D
   fundamental; then
 
@@ -27,13 +33,13 @@ scale (bounded by a small multiple of the trace bound squared).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 __all__ = [
     "bernoulli",
-    "bernoulli_poly",
     "kronecker",
     "is_fundamental_discriminant",
     "QuadCharacter",
@@ -44,7 +50,6 @@ __all__ = [
     "divisor_sigma",
     "moebius",
     "is_prime",
-    "CohenHTable",
     "cohen_h",
 ]
 
@@ -66,19 +71,6 @@ def bernoulli(n: int) -> Fraction:
             acc += comb(m + 1, j) * bj
         _BERNOULLI.append(-acc / (m + 1))
     return _BERNOULLI[n]
-
-
-def bernoulli_poly(n: int, x: Fraction) -> Fraction:
-    """Bernoulli polynomial B_n(x) = sum_{j} C(n, j) B_j x^(n-j)."""
-    if n < 0:
-        raise ValueError("Bernoulli polynomial degree must be non-negative")
-    acc = Fraction(0)
-    power = Fraction(1)
-    # descending j so the power of x can be accumulated multiplicatively
-    for j in range(n, -1, -1):
-        acc += comb(n, j) * bernoulli(j) * power
-        power *= x
-    return acc
 
 
 def kronecker(d: int, m: int) -> int:
@@ -210,17 +202,26 @@ class QuadCharacter:
 def gen_bernoulli(n: int, chi: QuadCharacter) -> Fraction:
     """Generalized Bernoulli number B_{n,chi} for a quadratic character.
 
-    B_{n,chi} = q^(n-1) * sum_{a=1}^{q} chi(a) B_n(a/q)   with q = |D|.
+    B_{n,chi} = sum_j C(n, j) B_j q^(j-1) S_{n-j} with q = |D| and the
+    integer power sums S_k = sum_{a=1}^{q} chi(a) a^k (module docstring).
     """
     if n < 1:
         raise ValueError("generalized Bernoulli index must be >= 1")
     q = chi.modulus
+    nonzero = [(a, ca) for a in range(1, q + 1) if (ca := chi(a))]
+    sums = [0] * (n + 1)  # sums[k] = S_k
+    for a, ca in nonzero:
+        power = ca
+        for k in range(n + 1):
+            sums[k] += power
+            power *= a
+    # q * B_{n,chi}: every term is then integral except for B_j
     total = Fraction(0)
-    for a in range(1, q + 1):
-        ca = chi(a)
-        if ca:
-            total += ca * bernoulli_poly(n, Fraction(a, q))
-    return q ** (n - 1) * total
+    for j in range(n + 1):
+        bj = bernoulli(j)
+        if bj:
+            total += comb(n, j) * q**j * sums[n - j] * bj
+    return total / q
 
 
 def fundamental_decomposition(r_parity: int, n: int) -> tuple[int, int]:
@@ -246,7 +247,15 @@ def fundamental_decomposition(r_parity: int, n: int) -> tuple[int, int]:
     return 4 * kernel, f // 2
 
 
-def _cohen_h_uncached(r: int, n: int) -> Fraction:
+@cache
+def cohen_h(r: int, n: int) -> Fraction:
+    """H(r, N) for r >= 1 and N >= 0 (module docstring), memoized per process.
+
+    Values are exact reduced fractions, so a cleared and refilled cache
+    agrees entry-wise with the old one.
+    """
+    if r < 1:
+        raise ValueError("H(r, N) needs r >= 1")
     if n < 0:
         raise ValueError("H(r, N) needs N >= 0")
     if n == 0:
@@ -263,39 +272,3 @@ def _cohen_h_uncached(r: int, n: int) -> Fraction:
         if mu:
             total += mu * chi(d) * d ** (r - 1) * divisor_sigma(2 * r - 1, f // d)
     return lvalue * total
-
-
-@dataclass
-class CohenHTable:
-    """Memo table for H(r, ·) at one fixed r >= 1.
-
-    Values are exact reduced fractions, so a rebuilt table agrees
-    entry-wise with any other; the cache is write-once per key and safe
-    for concurrent readers once warm (worst case a redundant recompute of
-    the same exact value).
-    """
-
-    r: int
-    cache: dict[int, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError("CohenHTable needs r >= 1")
-
-    def value(self, n: int) -> Fraction:
-        out = self.cache.get(n)
-        if out is None:
-            out = _cohen_h_uncached(self.r, n)
-            self.cache[n] = out
-        return out
-
-
-_H_TABLES: dict[int, CohenHTable] = {}
-
-
-def cohen_h(r: int, n: int) -> Fraction:
-    """H(r, N) with a process-wide memo table per r (see module docstring)."""
-    table = _H_TABLES.get(r)
-    if table is None:
-        table = _H_TABLES[r] = CohenHTable(r)
-    return table.value(n)

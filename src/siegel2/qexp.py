@@ -338,36 +338,40 @@ class Expansion:
             w = self.weight + other.weight
         bound = min(self.trace_bound, other.trace_bound)
         p = self.modulus
-        # bucket the right factor by trace so each left term only scans
-        # partners that keep the product inside the bound
-        buckets: list[list[tuple[int, int, int, object]]] = [[] for _ in range(bound + 1)]
+        # Pack (m, n, r) into the integer (m*(N+1) + n)*(4N+1) + r + N, so
+        # index addition is one integer addition.  The right factor is packed
+        # without the +N offset: then packed(T1) + right(T2) = packed(T1 + T2).
+        # Every index here has |r| <= trace <= N, so no digit overflows.
+        stride_n, stride_r = bound + 1, 4 * bound + 1
+        buckets: list[list[tuple[int, object]]] = [[] for _ in range(bound + 1)]
         for (m2, n2, r2), c2 in other.coeffs.items():
             t2 = m2 + n2
             if t2 <= bound:
-                buckets[t2].append((m2, n2, r2, c2))
-        out: dict[tuple[int, int, int], object] = {}
+                buckets[t2].append(((m2 * stride_n + n2) * stride_r + r2, c2))
+        # partners[t]: every right term of trace <= t, in trace order
+        partners = []
+        running: list[tuple[int, object]] = []
+        for bucket in buckets:
+            running = running + bucket
+            partners.append(running)
+        out: dict[int, object] = {}
         get = out.get
         for (m1, n1, r1), c1 in self.coeffs.items():
             t1 = m1 + n1
             if t1 > bound:
                 continue
-            for bucket in buckets[: bound - t1 + 1]:
-                for m2, n2, r2, c2 in bucket:
-                    key = (m1 + m2, n1 + n2, r1 + r2)
-                    prev = get(key)
-                    out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        if p is None:
-            canon = {}
-            for k, v in out.items():
-                v = _canon_rational(v)
-                if v:
-                    canon[TIndex(*k)] = v
-        else:
-            canon = {}
-            for k, v in out.items():
-                v %= p
-                if v:
-                    canon[TIndex(*k)] = v
+            k1 = (m1 * stride_n + n1) * stride_r + r1 + bound
+            for k2, c2 in partners[bound - t1]:
+                k = k1 + k2
+                prev = get(k)
+                out[k] = c1 * c2 if prev is None else prev + c1 * c2
+        canon = {}
+        for k, v in out.items():
+            v = _canon_rational(v) if p is None else v % p
+            if v:
+                mn, r = divmod(k, stride_r)
+                m, n = divmod(mn, stride_n)
+                canon[TIndex(m, n, r - bound)] = v
         return Expansion._raw(w, bound, canon, p)
 
     def __rmul__(self, other):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from siegel2.cli import ENV_CACHE_DIR, main
+from siegel2.cli import ENV_CACHE_DIR, MAX_TRACE_BOUND, main
 from siegel2.igusa import CACHE_NAMES, cache_path, save_generator_set
 from siegel2.qexp import Expansion
 
@@ -45,6 +45,26 @@ def test_build_rejects_tiny_bound(tmp_path, capsys):
     )
     assert status == 2
     assert err.startswith("error:")
+
+
+def test_huge_trace_bound_is_refused_before_any_build(tmp_path, capsys):
+    status, out, err = run(
+        capsys, "coeff", "X4", 1, 1, 0, "--trace-bound", 100000000, "--cache-dir", tmp_path
+    )
+    assert status == 2 and out == ""
+    assert err == f"error: trace bound 100000000 exceeds the maximum {MAX_TRACE_BOUND}\n"
+    assert list(tmp_path.iterdir()) == []
+    status, out, err = run(
+        capsys, "build", "--trace-bound", MAX_TRACE_BOUND + 1, "--cache-dir", tmp_path
+    )
+    assert status == 2 and err.startswith("error: trace bound")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trace_bound_help_names_the_cap(capsys):
+    with pytest.raises(SystemExit):
+        main(["build", "--help"])
+    assert f"at most {MAX_TRACE_BOUND})" in " ".join(capsys.readouterr().out.split())
 
 
 # ----- verify --------------------------------------------------------------

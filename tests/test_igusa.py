@@ -6,6 +6,7 @@ lattice pairs (x, y) with |x|^2 = 2m, |y|^2 = 2n, <x, y> = r, which we get by
 direct enumeration, with no shared code or number theory.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -272,3 +273,55 @@ def test_ensure_generator_set_uses_cache(tmp_path):
 def test_load_rejects_bound_mismatch(tmp_path, genset_small):
     save_generator_set(genset_small, tmp_path)
     assert load_generator_set(7, tmp_path) is None
+
+
+@pytest.mark.parametrize("failure", ["in to_text", "mid-write"])
+def test_save_interrupted_leaves_no_partial_file(tmp_path, genset_small, monkeypatch, failure):
+    to_text = Expansion.to_text
+    calls = []
+
+    def fifth_fails(self):
+        calls.append(self)
+        if len(calls) < 5:
+            return to_text(self)
+        if failure == "in to_text":
+            raise RuntimeError("interrupted")
+        # a lone surrogate cannot be encoded, so the write fails after the
+        # output file has been opened
+        return to_text(self)[:200] + "\ud800"
+
+    monkeypatch.setattr(Expansion, "to_text", fifth_fails)
+    with pytest.raises((RuntimeError, UnicodeEncodeError)):
+        save_generator_set(genset_small, tmp_path)
+    monkeypatch.undo()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(cache_path(tmp_path, name, 5).name for name in CACHE_NAMES[:4])
+    for name in CACHE_NAMES[:4]:
+        text = cache_path(tmp_path, name, 5).read_text()
+        assert text == genset_small.atom(name).to_text()
+    assert load_generator_set(5, tmp_path) is None
+
+
+# SHA-256 of every cache file at N = 12: the byte format and every
+# coefficient are pinned, whatever kernels compute them
+CACHE_SHA256_N12 = {
+    "E4": "5e5b32ffbe68cd2cd0eb5e8877c8d3d4d7da0ab3f1841a8b7061a3716780ccc6",
+    "E6": "c5a8704c77b3f4a5289322aa9ebfdc76a256c296c882644083f8ccd09643fa05",
+    "E8": "ee946970bfa2f6631d4d6cb4d9117729bbaf843700b5369d5da59a46ac68c37c",
+    "E10": "75664bb6641975d4877d8d7dd6c0db20956a3ac3c0e66858c7e489f9baaadd88",
+    "E12": "c6fb1a34e66a78d72ef488101f29f73e7e70782a73fc338a311d5a090a234b23",
+    "X4": "5e5b32ffbe68cd2cd0eb5e8877c8d3d4d7da0ab3f1841a8b7061a3716780ccc6",
+    "X6": "c5a8704c77b3f4a5289322aa9ebfdc76a256c296c882644083f8ccd09643fa05",
+    "X10": "cd9e17dd64532f490c4bc2a142f0dfa8a31aa30635ccddb28258318b385cb3e6",
+    "X12": "cb5fe39a874cf77a9356dcc6a676bf365441c03c34a8b58d82a941bce3cefd98",
+    "X35": "d68a69b5c4e3ff182833a17b1df15d4ea25547ddff284347ca52e63539831c80",
+}
+
+
+def test_cache_files_at_n12_are_pinned(tmp_path, genset):
+    paths = save_generator_set(genset, tmp_path)
+    digests = {
+        name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for name, path in zip(CACHE_NAMES, paths)
+    }
+    assert digests == CACHE_SHA256_N12

@@ -1,17 +1,16 @@
 """Oracle-first tests for the exact number-theoretic kernel."""
 
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from functools import cache
+from math import comb, gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from siegel2.numtheory import (
-    CohenHTable,
     QuadCharacter,
     bernoulli,
-    bernoulli_poly,
     cohen_h,
     divisor_sigma,
     divisors,
@@ -41,6 +40,35 @@ def bernoulli_oracle(n):
             fact *= k
         total += Fraction((-1) ** k * fact, k + 1) * stirling[n][k]
     return total
+
+
+@cache
+def _bernoulli_poly_integral(n):
+    """(L, [L C(n, j) B_j for j = 0..n]) with L the least common denominator."""
+    den = lcm(*(bernoulli(j).denominator for j in range(n + 1)))
+    return den, [int(comb(n, j) * bernoulli(j) * den) for j in range(n + 1)]
+
+
+def bernoulli_poly(n, x):
+    """Bernoulli polynomial B_n(x) = sum_{j} C(n, j) B_j x^(n-j) at a rational x.
+
+    Horner's rule on the integer form L q^n B_n(p/q) = sum_j L C(n, j) B_j p^(n-j) q^j
+    for x = p/q, which keeps the oracle fast enough to run over hundreds of
+    characters.
+    """
+    x = Fraction(x)
+    den, coeffs = _bernoulli_poly_integral(n)
+    acc = 0
+    for j, c in enumerate(coeffs):
+        acc = acc * x.numerator + c * x.denominator**j
+    return Fraction(acc, den * x.denominator**n)
+
+
+def gen_bernoulli_definition_oracle(n, disc):
+    """B_{n,chi} from its definition q^(n-1) sum_{a=1}^{q} chi(a) B_n(a/q)."""
+    q = abs(disc)
+    total = sum(kronecker(disc, a) * bernoulli_poly(n, Fraction(a, q)) for a in range(1, q + 1))
+    return q ** (n - 1) * total
 
 
 def hurwitz_oracle(n):
@@ -141,6 +169,12 @@ def test_bernoulli_poly_properties():
     for n in range(1, 8):
         assert bernoulli_poly(n, x + 1) - bernoulli_poly(n, x) == n * x ** (n - 1)
     assert bernoulli_poly(4, Fraction(0)) == bernoulli(4)
+    # the term-by-term sum of the definition, at negative and integral points too
+    for n in range(13):
+        for x in (Fraction(3, 7), Fraction(-5, 2), Fraction(0), Fraction(11)):
+            assert bernoulli_poly(n, x) == sum(
+                comb(n, j) * bernoulli(j) * x ** (n - j) for j in range(n + 1)
+            )
 
 
 # ----- Kronecker symbol -----------------------------------------------------
@@ -214,6 +248,15 @@ def test_gen_bernoulli_examples():
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
 def test_gen_bernoulli_against_series_oracle(n, disc):
     assert gen_bernoulli(n, QuadCharacter(disc)) == gen_bernoulli_series_oracle(n, disc)
+
+
+@pytest.mark.parametrize(
+    "disc", [d for d in range(-200, 201) if is_fundamental_discriminant(d)]
+)
+def test_gen_bernoulli_against_definition_oracle(disc):
+    chi = QuadCharacter(disc)
+    for n in range(1, 13):
+        assert gen_bernoulli(n, chi) == gen_bernoulli_definition_oracle(n, disc), n
 
 
 # ----- decomposition, divisors, moebius ---------------------------------------
@@ -305,10 +348,11 @@ def test_cohen_h_matches_hurwitz_class_numbers():
 
 
 def test_cohen_h_table_reproducible():
-    t1, t2 = CohenHTable(2), CohenHTable(2)
-    values1 = [t1.value(n) for n in range(40)]
-    cached = [t1.value(n) for n in range(40)]
-    fresh = [t2.value(n) for n in range(40)]
+    cohen_h.cache_clear()
+    values1 = [cohen_h(2, n) for n in range(40)]
+    cached = [cohen_h(2, n) for n in range(40)]
+    cohen_h.cache_clear()
+    fresh = [cohen_h(2, n) for n in range(40)]
     assert values1 == cached == fresh
 
 
@@ -316,4 +360,4 @@ def test_cohen_h_rejects_bad_input():
     with pytest.raises(ValueError):
         cohen_h(1, -4)
     with pytest.raises(ValueError):
-        CohenHTable(0)
+        cohen_h(0, 5)

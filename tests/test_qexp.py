@@ -236,6 +236,58 @@ def test_mul_matches_brute_force_convolution(F, G):
         assert got == want
 
 
+@st.composite
+def mul_operands(draw):
+    """Two expansions in one domain, each with its own bound (0..8) and weight."""
+    modulus = draw(st.sampled_from([None, 5, 23]))
+    if modulus is None:
+        values = st.one_of(
+            st.integers(-10**30, 10**30),
+            st.builds(Fraction, st.integers(-99, 99), st.integers(1, 12)),
+        )
+    else:
+        values = st.integers(0, modulus - 1)
+    operands = []
+    for _ in range(2):
+        bound = draw(st.integers(0, 8))
+        weight = draw(st.sampled_from([None, 0, 4, 35]))
+        pool = list(iter_l2_indices(bound))
+        support = draw(st.lists(st.sampled_from(pool), max_size=40, unique=True))
+        coeffs = {T: draw(values) for T in support}
+        operands.append(Expansion(weight, bound, coeffs, modulus))
+    return operands
+
+
+def naive_product(F, G):
+    """Every pair of terms, index added as triples; dropped past the smaller bound."""
+    bound = min(F.trace_bound, G.trace_bound)
+    acc = {}
+    for (m1, n1, r1), c1 in F.coeffs.items():
+        for (m2, n2, r2), c2 in G.coeffs.items():
+            T = (m1 + m2, n1 + n2, r1 + r2)
+            if T[0] + T[1] <= bound:
+                acc[T] = acc.get(T, 0) + c1 * c2
+    if F.modulus is not None:
+        acc = {T: c % F.modulus for T, c in acc.items()}
+    return {T: c for T, c in acc.items() if c}
+
+
+@given(operands=mul_operands())
+def test_mul_matches_naive_convolution(operands):
+    F, G = operands
+    H = F * G
+    assert H.trace_bound == min(F.trace_bound, G.trace_bound)
+    assert H.modulus == F.modulus
+    if F.weight is None or G.weight is None:
+        assert H.weight is None
+    else:
+        assert H.weight == F.weight + G.weight
+    assert H.coeffs == naive_product(F, G)
+    for T, c in H.coeffs.items():
+        assert type(T) is TIndex
+        assert type(c) is int or c.denominator != 1  # canonical form
+
+
 @given(F=expansions(max_trace=4), G=expansions(max_trace=4), H=expansions(max_trace=4))
 def test_ring_laws(F, G, H):
     assert F * G == G * F
