@@ -4,17 +4,18 @@ Usage:
 
     python3 scripts/reproduce_mod23.py [--trace-bound N] [--cache-dir DIR]
 
-Prints the verification certificate and a short build summary.  Exit
-status: 0 certified, 1 refuted, 2 insufficient bound.
+Prints a short build summary and then the certificate of `siegel2 verify`
+(the reference-coefficient check included).  Exit status: 0 certified,
+1 refuted, 2 insufficient bound.
 """
 
 import argparse
 import sys
 import time
 
-from siegel2.congruence import CERTIFIED, REFUTED, verify_x35_mod23
+from siegel2.cli import verify_certificate
+from siegel2.congruence import CERTIFIED, REFUTED
 from siegel2.igusa import ensure_generator_set
-from siegel2.reference import x35_reference_violations
 
 
 def main(argv=None) -> int:
@@ -30,14 +31,9 @@ def main(argv=None) -> int:
     source = "cache" if cached else "fresh build"
     print(f"# generators at trace bound {gen.trace_bound} ({source}, {built:.2f}s)")
     print(f"# X35 stored terms: {len(gen.x35.coeffs)}")
-
-    if gen.trace_bound >= 9:
-        bad = x35_reference_violations(gen.x35)
-        status = "ok" if not bad else f"MISMATCH at {tuple(bad[0][0])}"
-        print(f"# reference coefficients to trace 9: {status}")
     print()
 
-    cert = verify_x35_mod23(gen)
+    cert = verify_certificate(gen)
     print(cert.to_text(), end="")
     return {CERTIFIED: 0, REFUTED: 1}.get(cert.verdict, 2)
 

@@ -16,7 +16,6 @@ from .congruence import (
     Certificate,
     CheckRecord,
     MinMatrixResult,
-    SturmBound,
     inclusion_check,
     min_matrix,
     minmat_additivity_test,
@@ -36,7 +35,6 @@ from .igusa import (
     build_generator_set,
     build_x10_x12,
     build_x35,
-    build_x4_x6,
     eisenstein_family,
     ensure_generator_set,
     genus1_eisenstein,
@@ -70,12 +68,10 @@ __all__ = [
     "GeneratorSet",
     "MinMatrixResult",
     "ReductionError",
-    "SturmBound",
     "TIndex",
     "build_generator_set",
     "build_x10_x12",
     "build_x35",
-    "build_x4_x6",
     "eisenstein_family",
     "ensure_generator_set",
     "eval_expr",

@@ -100,52 +100,51 @@ def _cmd_build(args) -> int:
     return 0
 
 
+def verify_certificate(gen, prime: int = DEFAULT_PRIME) -> Certificate:
+    """The certificate `verify` prints for a generator set.
+
+    prime 5 certifies the theta identity.  prime 23 certifies the X35
+    congruence and puts the golden-record check first: the built X35 must
+    reproduce the published coefficients to trace 9 exactly, which is
+    also what catches a tampered cache.
+    """
+    if prime == 5:
+        return verify_theta_mod5(gen)
+    cert = verify_x35_mod23(gen, gen.trace_bound)
+    if cert.verdict == INSUFFICIENT:
+        return cert
+    name = "X35 matches the reference coefficients at every index of trace <= 9"
+    violations = x35_reference_violations(gen.x35)
+    if not violations:
+        checked = sum(1 for _ in iter_l2_indices(9))
+        detail = f"indices={checked}, nonzero reference entries={len(X35_LOW_TRACE)}"
+        return replace(cert, checks=[CheckRecord(name, True, detail)] + cert.checks)
+    T, want, got = violations[0]
+    record = CheckRecord(name, False, f"at {tuple(T)}: expected {want}, got {got}")
+    return replace(
+        cert, checks=[record] + cert.checks, verdict=REFUTED,
+        witness=T if cert.witness is None else cert.witness,
+    )
+
+
 def _cmd_verify(args) -> int:
     cfg = _config(args)
-    gen = _generators(cfg)
-    if args.prime == 5:
-        return _print_certificate(verify_theta_mod5(gen))
-    cert = verify_x35_mod23(gen, cfg.trace_bound)
-    if cert.verdict == INSUFFICIENT:
-        return _print_certificate(cert)
-    # golden vectors: the built X35 must reproduce the published low-trace
-    # coefficients exactly (this is also what catches a tampered cache)
-    violations = x35_reference_violations(gen.x35)
-    if violations:
-        T, want, got = violations[0]
-        record = CheckRecord(
-            "X35 matches the reference coefficients at every index of trace <= 9",
-            False,
-            f"at {tuple(T)}: expected {want}, got {got}",
-        )
-        cert = replace(
-            cert, checks=[record] + cert.checks, verdict=REFUTED,
-            witness=T if cert.witness is None else cert.witness,
-        )
-    else:
-        checked = sum(1 for _ in iter_l2_indices(9))
-        record = CheckRecord(
-            "X35 matches the reference coefficients at every index of trace <= 9",
-            True,
-            f"indices={checked}, nonzero reference entries={len(X35_LOW_TRACE)}",
-        )
-        cert = replace(cert, checks=[record] + cert.checks)
-    return _print_certificate(cert)
+    return _print_certificate(verify_certificate(_generators(cfg), args.prime))
 
 
 def _cmd_coeff(args) -> int:
     cfg = _config(args)
-    gen, node, value = _eval(args, cfg, args.prime)
     T = TIndex(args.m, args.n, args.r)
     if not T.in_l2():
         print(f"error: index {tuple(T)} is not positive semidefinite", file=sys.stderr)
         return 2
-    if T.trace > value.trace_bound:
+    if T.trace > cfg.trace_bound:
         print(
-            f"error: index {tuple(T)} exceeds the trace bound {value.trace_bound}",
+            f"error: index {tuple(T)} exceeds the trace bound {cfg.trace_bound}",
             file=sys.stderr,
         )
         return 2
+    gen, node, value = _eval(args, cfg, args.prime)
     c = value.coefficient(T)
     if cfg.fmt == "lines":
         print(c)

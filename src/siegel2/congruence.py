@@ -13,11 +13,14 @@ as soon as its coefficients vanish on the finite box 0 <= m, n <= floor(k/10)
 (t, t, 2t) with t = floor(k/10)).  For odd weight k >= 35 the form is
 divisible by the weight-35 generator and the criterion tightens to the
 set of indices preceding (t+2, t+3, 2t-1) with t = floor((k-35)/10).
-Both verifiers emit a `Certificate`; they never widen their hypotheses
-silently: an expansion whose trace bound cannot host the required region
-yields the verdict "Insufficient", and every unproved existence statement
-consumed by a pipeline is spelled out in the certificate's assumption
-list.
+`sturm_even` and `sturm_odd` run one criterion body: the even one scans
+the box (`_box_region`), the odd one the order set (`_order_region`, which
+`inclusion_check` compares with the box).  Every verifier emits a
+`Certificate` and never widens its hypotheses silently: an expansion whose
+trace bound cannot host the required region yields the one "Insufficient"
+certificate shape (`_insufficient`), and every unproved existence
+statement consumed by a pipeline is spelled out in the certificate's
+assumption list.
 
 The mod-23 theorem: every Fourier coefficient of X35 sitting at an index
 T with 4*det(T) not divisible by 23 vanishes mod 23.  `verify_x35_mod23`
@@ -43,7 +46,6 @@ __all__ = [
     "INSUFFICIENT",
     "MinMatrixResult",
     "min_matrix",
-    "SturmBound",
     "sturm_bound_even",
     "sturm_bound_odd",
     "CheckRecord",
@@ -95,35 +97,27 @@ def min_matrix(F: Expansion) -> MinMatrixResult:
     return MinMatrixResult(value, p, F.weight, F.trace_bound)
 
 
-@dataclass(frozen=True)
-class SturmBound:
-    """Hypothesis region data for one vanishing criterion."""
-
-    kind: str  # "even" or "odd"
-    weight: int
-    prime: int
-    bound: TIndex  # verdict follows once all T preceding/equal vanish
-
-
 def _require_prime_ge5(p: int) -> None:
     if p < 5:
         raise ValueError(f"the vanishing criteria need p >= 5; got {p}")
 
 
-def sturm_bound_even(k: int, p: int) -> SturmBound:
+def sturm_bound_even(k: int, p: int) -> TIndex:
+    """Bound matrix (t, t, 2t), t = floor(k/10), of the even-weight criterion."""
     if k <= 0 or k % 2:
         raise ValueError("even positive weight required")
     _require_prime_ge5(p)
     t = k // 10
-    return SturmBound("even", k, p, TIndex(t, t, 2 * t))
+    return TIndex(t, t, 2 * t)
 
 
-def sturm_bound_odd(k: int, p: int) -> SturmBound:
+def sturm_bound_odd(k: int, p: int) -> TIndex:
+    """Bound matrix (t+2, t+3, 2t-1), t = floor((k-35)/10), of the odd-weight criterion."""
     if k < 35 or k % 2 == 0:
         raise ValueError("odd weight >= 35 required")
     _require_prime_ge5(p)
     t = (k - 35) // 10
-    return SturmBound("odd", k, p, TIndex(t + 2, t + 3, 2 * t - 1))
+    return TIndex(t + 2, t + 3, 2 * t - 1)
 
 
 @dataclass(frozen=True)
@@ -175,7 +169,32 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
-def _scan_region(F: Expansion, region: list[TIndex]):
+def _insufficient(claim, p, k, bound, trace, check, detail, assumptions=()) -> Certificate:
+    """The certificate of a run whose data cannot host the region it needs."""
+    return Certificate(
+        claim, p, k, bound, trace, [CheckRecord(check, False, detail)],
+        list(assumptions), INSUFFICIENT,
+    )
+
+
+def _box_region(t: int) -> list[TIndex]:
+    """The box 0 <= m, n <= t of the even criterion, in the index order."""
+    box = [
+        TIndex(m, n, r)
+        for m in range(t + 1)
+        for n in range(t + 1)
+        for r in range(-isqrt(4 * m * n), isqrt(4 * m * n) + 1)
+    ]
+    return sorted(box, key=order_key)
+
+
+def _order_region(bound: TIndex) -> list[TIndex]:
+    """Every index preceding or equal to the bound matrix, in the index order."""
+    bk = order_key(bound)
+    return [T for T in iter_l2_indices(bound.trace) if order_key(T) <= bk]
+
+
+def _scan_region(F: Expansion, region) -> TIndex | None:
     """First violation (in the index order) of 'residue == 0' on the region."""
     for T in region:
         if F.coefficient(T):
@@ -183,53 +202,29 @@ def _scan_region(F: Expansion, region: list[TIndex]):
     return None
 
 
-def sturm_even(
-    F: Expansion,
-    k: int,
-    method: str = "region",
-    name: str = "F",
-    assumptions=(),
-) -> Certificate:
-    """Certify F == 0 mod p from finitely many vanishing coefficients (even k).
-
-    method "region": the box 0 <= m, n <= floor(k/10).
-    method "order":  all T preceding or equal to the bound matrix (t, t, 2t).
-    The two hypothesis sets imply each other (the order set contains the
-    box), so the verdicts agree; both are exposed for cross-checking.
-    """
-    p = _modulus_of(F)
-    sb = sturm_bound_even(k, p)
-    t = k // 10
+def _sturm(F: Expansion, k: int, bound: TIndex, name: str, assumptions) -> Certificate:
+    """The criterion body shared by both parities: scan the hypothesis
+    region of the bound matrix, the box for even k and the order set for
+    odd k."""
+    p = F.modulus
     claim = f"{name} vanishes identically mod {p}"
-    if F.trace_bound < 2 * t:
-        return Certificate(
-            claim, p, k, sb.bound, None,
-            [CheckRecord(
-                "hypothesis region inside the trace bound", False,
-                f"need trace {2 * t}, have {F.trace_bound}",
-            )],
-            list(assumptions), INSUFFICIENT,
+    needed = bound.trace
+    if F.trace_bound < needed:
+        return _insufficient(
+            claim, p, k, bound, None, "hypothesis region inside the trace bound",
+            f"need trace {needed}, have {F.trace_bound}", assumptions,
         )
-    if method == "region":
-        region = [
-            TIndex(m, n, r)
-            for m in range(t + 1)
-            for n in range(t + 1)
-            for r in range(-isqrt(4 * m * n), isqrt(4 * m * n) + 1)
-        ]
-        region.sort(key=order_key)
-        desc = f"a(m,n,r) = 0 mod {p} on the box 0 <= m,n <= {t}"
-    elif method == "order":
-        bk = order_key(sb.bound)
-        region = [T for T in iter_l2_indices(2 * t) if order_key(T) <= bk]
-        desc = f"a(T) = 0 mod {p} for every T up to the bound matrix"
+    if k % 2 == 0:
+        region = _box_region(bound.m)
+        desc = f"a(m,n,r) = 0 mod {p} on the box 0 <= m,n <= {bound.m}"
     else:
-        raise ValueError(f"unknown method {method!r}")
+        region = _order_region(bound)
+        desc = f"a(T) = 0 mod {p} for every T up to the bound matrix"
     witness = _scan_region(F, region)
     passed = witness is None
     detail = f"indices={len(region)}" if passed else f"nonzero residue at {tuple(witness)}"
     return Certificate(
-        claim, p, k, sb.bound, 2 * t,
+        claim, p, k, bound, needed,
         [CheckRecord(desc, passed, detail)],
         list(assumptions),
         CERTIFIED if passed else REFUTED,
@@ -237,33 +232,19 @@ def sturm_even(
     )
 
 
+def sturm_even(F: Expansion, k: int, name: str = "F", assumptions=()) -> Certificate:
+    """Certify F == 0 mod p from finitely many vanishing coefficients (even k).
+
+    The hypothesis region is the box 0 <= m, n <= floor(k/10); by
+    `inclusion_check` it lies inside the set of indices up to the bound
+    matrix (t, t, 2t).
+    """
+    return _sturm(F, k, sturm_bound_even(k, _modulus_of(F)), name, assumptions)
+
+
 def sturm_odd(F: Expansion, k: int, name: str = "F", assumptions=()) -> Certificate:
     """Certify F == 0 mod p for odd weight k >= 35 (F divisible by X35)."""
-    p = _modulus_of(F)
-    sb = sturm_bound_odd(k, p)
-    claim = f"{name} vanishes identically mod {p}"
-    needed = sb.bound.trace
-    if F.trace_bound < needed:
-        return Certificate(
-            claim, p, k, sb.bound, None,
-            [CheckRecord(
-                "hypothesis region inside the trace bound", False,
-                f"need trace {needed}, have {F.trace_bound}",
-            )],
-            list(assumptions), INSUFFICIENT,
-        )
-    bk = order_key(sb.bound)
-    region = [T for T in iter_l2_indices(needed) if order_key(T) <= bk]
-    witness = _scan_region(F, region)
-    passed = witness is None
-    detail = f"indices={len(region)}" if passed else f"nonzero residue at {tuple(witness)}"
-    return Certificate(
-        claim, p, k, sb.bound, needed,
-        [CheckRecord(f"a(T) = 0 mod {p} for every T up to the bound matrix", passed, detail)],
-        list(assumptions),
-        CERTIFIED if passed else REFUTED,
-        witness,
-    )
+    return _sturm(F, k, sturm_bound_odd(k, _modulus_of(F)), name, assumptions)
 
 
 def inclusion_check(k: int) -> bool:
@@ -277,15 +258,8 @@ def inclusion_check(k: int) -> bool:
         raise ValueError("k >= 10 required")
     t = k // 10
     bound = TIndex(t, t, 2 * t)
-    bk = order_key(bound)
-    box = {
-        TIndex(m, n, r)
-        for m in range(t + 1)
-        for n in range(t + 1)
-        for r in range(-isqrt(4 * m * n), isqrt(4 * m * n) + 1)
-    }
-    order_set = {T for T in iter_l2_indices(2 * t) if order_key(T) <= bk}
-    if not box <= order_set:
+    box = set(_box_region(t))
+    if not box <= set(_order_region(bound)):
         return False
     if k >= 20:
         w = TIndex(t + 1, 0, 0)
@@ -313,17 +287,12 @@ def verify_x35_mod23(gen, scan_bound: int | None = None) -> Certificate:
     n = gen.trace_bound if scan_bound is None else scan_bound
     claim = "a(T; X35) = 0 mod 23 at every index with 4*det(T) not divisible by 23"
     if gen.trace_bound < 9 or n < 9 or n > gen.trace_bound:
-        return Certificate(
-            claim, p, 35, None, n,
-            [CheckRecord(
-                "trace bounds cover the proof region", False,
-                f"need 9 <= scan bound <= built bound {gen.trace_bound}, got {n}",
-            )],
-            [], INSUFFICIENT,
+        return _insufficient(
+            claim, p, 35, None, n, "trace bounds cover the proof region",
+            f"need 9 <= scan bound <= built bound {gen.trace_bound}, got {n}",
         )
 
     checks: list[CheckRecord] = []
-    witness: TIndex | None = None
     assumptions = [theta_landing_assumption(35, p)]
 
     # (a) theta pipeline: the theta image must vanish mod 23 up to trace 9 ...
@@ -337,8 +306,6 @@ def verify_x35_mod23(gen, scan_bound: int | None = None) -> Certificate:
             f"indices={len(region9)}" if viol is None else f"nonzero at {tuple(viol)}",
         )
     )
-    if viol is not None:
-        witness = viol
     # ... and that finite region certifies it is identically zero at weight 59
     sub = sturm_odd(
         theta_image, 59, name="theta(X35) mod 23", assumptions=assumptions
@@ -359,9 +326,8 @@ def verify_x35_mod23(gen, scan_bound: int | None = None) -> Certificate:
             exempt += 1
             continue
         checked += 1
-        if gen.x35.coefficient(T) % p:
-            if scan_witness is None:
-                scan_witness = T
+        if scan_witness is None and gen.x35.coefficient(T) % p:
+            scan_witness = T
     checks.append(
         CheckRecord(
             f"direct scan to trace {n}: coefficients vanish mod 23 off the divisibility locus",
@@ -370,8 +336,7 @@ def verify_x35_mod23(gen, scan_bound: int | None = None) -> Certificate:
             + ("" if scan_witness is None else f", nonzero at {tuple(scan_witness)}"),
         )
     )
-    if scan_witness is not None and witness is None:
-        witness = scan_witness
+    witness = scan_witness if viol is None else viol
 
     # the converse direction fails: a zero coefficient on the divisibility locus
     cw = TIndex(1, 6, 1)
@@ -399,34 +364,23 @@ def verify_theta_mod5(gen) -> Certificate:
     p = 5
     claim = "theta(X6) = 4*X12 mod 5"
     if gen.trace_bound < 10:
-        return Certificate(
-            claim, p, 12, None, None,
-            [CheckRecord(
-                "comparison region inside the trace bound", False,
-                f"need trace 10, have {gen.trace_bound}",
-            )],
-            [], INSUFFICIENT,
+        return _insufficient(
+            claim, p, 12, None, None, "comparison region inside the trace bound",
+            f"need trace 10, have {gen.trace_bound}",
         )
     assumptions = [theta_landing_assumption(6, p)]
-    theta_image = gen.x6.reduce_mod(p).theta()
-    target = gen.x12.reduce_mod(p).scale(4)
-    witness = None
-    count = 0
-    for T in iter_l2_indices(10):
-        count += 1
-        if theta_image.coefficient(T) != target.coefficient(T):
-            witness = T
-            break
+    difference = gen.x6.reduce_mod(p).theta() - gen.x12.reduce_mod(p).scale(4)
+    region10 = list(iter_l2_indices(10))
+    witness = _scan_region(difference, region10)
     checks = [
         CheckRecord(
             "theta(X6) and 4*X12 agree mod 5 at every index of trace <= 10",
             witness is None,
-            f"indices={count}" if witness is None else f"disagree at {tuple(witness)}",
+            f"indices={len(region10)}" if witness is None else f"disagree at {tuple(witness)}",
         )
     ]
     sub = sturm_even(
-        theta_image - target, 12, method="region",
-        name="theta(X6) - 4*X12 mod 5", assumptions=assumptions,
+        difference, 12, name="theta(X6) - 4*X12 mod 5", assumptions=assumptions
     )
     checks.append(
         CheckRecord(

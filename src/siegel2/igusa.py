@@ -47,7 +47,6 @@ __all__ = [
     "genus1_eisenstein",
     "siegel_eisenstein",
     "eisenstein_family",
-    "build_x4_x6",
     "build_x10_x12",
     "build_x35",
     "integrality_check",
@@ -103,25 +102,17 @@ def siegel_eisenstein(k: int, trace_bound: int) -> Expansion:
     return Expansion(k, trace_bound, coeffs)
 
 
-def eisenstein_family(trace_bound: int, validate: bool = True) -> dict[int, Expansion]:
+def eisenstein_family(trace_bound: int) -> dict[int, Expansion]:
     """All supported E_k at one bound, with the mandatory self-checks."""
     family = {k: siegel_eisenstein(k, trace_bound) for k in SUPPORTED_WEIGHTS}
-    if validate:
-        for k in SUPPORTED_WEIGHTS:
-            if family[k].phi() != genus1_eisenstein(k, trace_bound):
-                raise ConstructionError(
-                    f"restriction of E{k} disagrees with the genus-1 series"
-                )
-        if family[4] * family[4] != family[8]:
-            raise ConstructionError("E4^2 != E8: coefficient formula is inconsistent")
+    for k in SUPPORTED_WEIGHTS:
+        if family[k].phi() != genus1_eisenstein(k, trace_bound):
+            raise ConstructionError(
+                f"restriction of E{k} disagrees with the genus-1 series"
+            )
+    if family[4] * family[4] != family[8]:
+        raise ConstructionError("E4^2 != E8: coefficient formula is inconsistent")
     return family
-
-
-def build_x4_x6(trace_bound: int, family: dict[int, Expansion] | None = None):
-    """X4 = E4 and X6 = E6 (already normalized: constant term 1)."""
-    if family is None:
-        family = {4: siegel_eisenstein(4, trace_bound), 6: siegel_eisenstein(6, trace_bound)}
-    return family[4], family[6]
 
 
 def _solve_linear(matrix, rhs) -> list[Fraction]:
@@ -157,12 +148,10 @@ def _cusp_violation(F: Expansion) -> TIndex | None:
     return None
 
 
-def build_x10_x12(trace_bound: int, family: dict[int, Expansion] | None = None):
+def build_x10_x12(trace_bound: int, family: dict[int, Expansion]):
     """Cut the weight-10 and weight-12 cusp generators out of Eisenstein products."""
     if trace_bound < 2:
         raise ConstructionError("normalization index (1,1,1) has trace 2: need bound >= 2")
-    if family is None:
-        family = eisenstein_family(trace_bound, validate=False)
     e4, e6 = family[4], family[6]
     idx0, idx100, idx111 = TIndex(0, 0, 0), TIndex(1, 0, 0), TIndex(1, 1, 1)
 
@@ -278,35 +267,34 @@ def integrality_check(gen) -> list[tuple[str, TIndex, object]]:
     return out
 
 
-def build_generator_set(trace_bound: int, validate: bool = True) -> GeneratorSet:
+def build_generator_set(trace_bound: int) -> GeneratorSet:
     """Build all five generators (and the Eisenstein family) at one bound."""
     if trace_bound < 5:
         raise ConstructionError(
             "generator builds need trace bound >= 5 "
             "(the X35 normalization index (2,3,-1) has trace 5)"
         )
-    family = eisenstein_family(trace_bound, validate=validate)
-    x4, x6 = build_x4_x6(trace_bound, family)
+    family = eisenstein_family(trace_bound)
+    x4, x6 = family[4], family[6]  # already normalized: constant term 1
     x10, x12 = build_x10_x12(trace_bound, family)
     x35 = build_x35(x4, x6, x10, x12)
     gen = GeneratorSet(x4, x6, x10, x12, x35, family, trace_bound)
-    if validate:
-        bad = _cusp_violation(x35)
-        if bad is not None:
-            raise ConstructionError(f"X35 has a nonzero rank<=1 coefficient at {tuple(bad)}")
-        for name, idx in (
-            ("X4", (0, 0, 0)),
-            ("X6", (0, 0, 0)),
-            ("X10", (1, 1, 1)),
-            ("X12", (1, 1, 1)),
-            ("X35", (2, 3, -1)),
-        ):
-            if gen.atom(name).coefficient(idx) != 1:
-                raise ConstructionError(f"{name} normalization at {idx} failed")
-        violations = integrality_check(gen)
-        if violations:
-            name, T, c = violations[0]
-            raise ConstructionError(f"non-integral coefficient {c} at {tuple(T)} in {name}")
+    bad = _cusp_violation(x35)
+    if bad is not None:
+        raise ConstructionError(f"X35 has a nonzero rank<=1 coefficient at {tuple(bad)}")
+    for name, idx in (
+        ("X4", (0, 0, 0)),
+        ("X6", (0, 0, 0)),
+        ("X10", (1, 1, 1)),
+        ("X12", (1, 1, 1)),
+        ("X35", (2, 3, -1)),
+    ):
+        if gen.atom(name).coefficient(idx) != 1:
+            raise ConstructionError(f"{name} normalization at {idx} failed")
+    violations = integrality_check(gen)
+    if violations:
+        name, T, c = violations[0]
+        raise ConstructionError(f"non-integral coefficient {c} at {tuple(T)} in {name}")
     return gen
 
 
@@ -343,9 +331,11 @@ def save_generator_set(gen: GeneratorSet, cache_dir) -> list[Path]:
 def load_generator_set(trace_bound: int, cache_dir) -> GeneratorSet | None:
     """Load a cached build; None when any file is missing.
 
-    Parsing is structural only: cached data is *not* re-derived or
-    revalidated here, so integrity questions about a cache are answered by
-    the verification pipeline, not silently at load time.
+    Each file's header must match its name: the weight in the name
+    (E10 -> 10, X35 -> 35), the rational domain and the trace bound;
+    a mismatch raises ValueError naming the file.  Coefficient values are
+    *not* re-derived or revalidated here, so integrity questions about a
+    cache are answered by the verification pipeline.
     """
     paths = {name: cache_path(cache_dir, name, trace_bound) for name in CACHE_NAMES}
     if not all(p.is_file() for p in paths.values()):
@@ -355,6 +345,12 @@ def load_generator_set(trace_bound: int, cache_dir) -> GeneratorSet | None:
         exp = Expansion.from_text(path.read_text())
         if exp.trace_bound != trace_bound:
             raise ValueError(f"cache file {path} has inconsistent trace bound")
+        if exp.weight != int(name[1:]) or exp.modulus is not None:
+            domain = "rational" if exp.modulus is None else f"mod {exp.modulus}"
+            raise ValueError(
+                f"cache file {path} holds a {domain} expansion of weight {exp.weight}, "
+                f"expected a rational one of weight {name[1:]}"
+            )
         forms[name] = exp
     family = {k: forms[f"E{k}"] for k in SUPPORTED_WEIGHTS}
     return GeneratorSet(
@@ -363,9 +359,7 @@ def load_generator_set(trace_bound: int, cache_dir) -> GeneratorSet | None:
     )
 
 
-def ensure_generator_set(
-    trace_bound: int, cache_dir=None, validate: bool = True
-) -> tuple[GeneratorSet, bool]:
+def ensure_generator_set(trace_bound: int, cache_dir=None) -> tuple[GeneratorSet, bool]:
     """Load from cache when complete, else build (and cache when a dir is given).
 
     Returns (generator_set, came_from_cache).
@@ -374,7 +368,7 @@ def ensure_generator_set(
         cached = load_generator_set(trace_bound, cache_dir)
         if cached is not None:
             return cached, True
-    gen = build_generator_set(trace_bound, validate=validate)
+    gen = build_generator_set(trace_bound)
     if cache_dir is not None:
         save_generator_set(gen, cache_dir)
     return gen, False

@@ -1,8 +1,9 @@
 """Full certificate text of every verdict path, pinned.
 
-The expected texts below were captured from the implementation before the
-criterion bodies, scan regions and Insufficient returns were merged; every
-certificate path must keep printing them byte for byte.
+Certified, Refuted and Insufficient for both vanishing criteria and both
+verifiers, and the `verify` command's certificate with the reference
+record: each must keep printing these texts byte for byte, whatever code
+builds it.
 """
 
 from dataclasses import replace
@@ -175,17 +176,25 @@ PINNED = {
 }
 
 
-def _bump(form, T, delta):
-    return Expansion(form.weight, form.trace_bound, {**form.coeffs, T: form.coefficient(T) + delta})
+def _bump(form, T):
+    """form with its coefficient at T raised by one."""
+    coeffs = dict(form.coeffs)
+    coeffs[T] = form.coefficient(T) + 1
+    return Expansion(form.weight, form.trace_bound, coeffs)
 
 
+# case -> certificate, from the trace-12 and the trace-5 generator sets
 CASES = {
-    "even_certified": lambda g, s: sturm_even(g.x12.scale(5).reduce_mod(5), 12, name="5*X12 mod 5"),
+    "even_certified": lambda g, s: sturm_even(
+        g.x12.scale(5).reduce_mod(5), 12, name="5*X12 mod 5"
+    ),
     "even_refuted": lambda g, s: sturm_even(g.x4.reduce_mod(5), 4),
     "even_insufficient": lambda g, s: sturm_even(
         Expansion(12, 1, {}, modulus=5), 12, assumptions=["a demo assumption"]
     ),
-    "odd_certified": lambda g, s: sturm_odd(g.x35.scale(23).reduce_mod(23), 35, name="23*X35 mod 23"),
+    "odd_certified": lambda g, s: sturm_odd(
+        g.x35.scale(23).reduce_mod(23), 35, name="23*X35 mod 23"
+    ),
     "odd_refuted": lambda g, s: sturm_odd(g.x35.reduce_mod(7), 35),
     "odd_insufficient": lambda g, s: sturm_odd(
         s.x35.reduce_mod(23).theta(), 59, name="theta(X35) mod 23"
@@ -193,10 +202,14 @@ CASES = {
     "x35_certified": lambda g, s: verify_x35_mod23(g),
     "x35_insufficient_scan8": lambda g, s: verify_x35_mod23(g, scan_bound=8),
     "x35_insufficient_small": lambda g, s: verify_x35_mod23(s),
-    "x35_refuted": lambda g, s: verify_x35_mod23(replace(g, x35=_bump(g.x35, TIndex(2, 3, 0), 1))),
+    "x35_refuted": lambda g, s: verify_x35_mod23(
+        replace(g, x35=_bump(g.x35, TIndex(2, 3, 0)))
+    ),
     "theta5_certified": lambda g, s: verify_theta_mod5(g),
     "theta5_insufficient": lambda g, s: verify_theta_mod5(s),
-    "theta5_refuted": lambda g, s: verify_theta_mod5(replace(g, x12=_bump(g.x12, TIndex(2, 3, 1), 1))),
+    "theta5_refuted": lambda g, s: verify_theta_mod5(
+        replace(g, x12=_bump(g.x12, TIndex(2, 3, 1)))
+    ),
 }
 
 
@@ -210,7 +223,8 @@ def test_cli_verify_text_is_pinned(case, status, genset, tmp_path, capsys):
     save_generator_set(genset, tmp_path)
     if case == "cli_verify_tampered":
         x35_file = cache_path(tmp_path, "X35", 12)
-        x35_file.write_text(x35_file.read_text().replace("\n2 4 -1 -69 1\n", "\n2 4 -1 -68 1\n"))
+        text = x35_file.read_text()
+        x35_file.write_text(text.replace("\n2 4 -1 -69 1\n", "\n2 4 -1 -68 1\n"))
     assert main(["verify", "--cache-dir", str(tmp_path)]) == status
     out = capsys.readouterr()
     assert (out.out, out.err) == (PINNED[case], "")

@@ -148,6 +148,43 @@ def test_coeff_rejects_bad_index(cli_cache, capsys):
     assert status == 2 and "trace bound" in err
 
 
+@pytest.mark.parametrize("m, n, r, message", [
+    (-1, 0, 0, "error: index (-1, 0, 0) is not positive semidefinite\n"),
+    (9, 9, 0, "error: index (9, 9, 0) exceeds the trace bound 14\n"),
+])
+def test_coeff_rejects_bad_index_before_any_build(tmp_path, capsys, m, n, r, message):
+    status, out, err = run(
+        capsys, "coeff", "X4", m, n, r, "--trace-bound", 14, "--cache-dir", tmp_path
+    )
+    assert (status, out, err) == (2, "", message)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name, expr, index, header", [
+    # a reduced expansion under a rational name
+    ("X4", "X4", (1, 0, 0), "a mod 23 expansion of weight 4"),
+    # the header of another weight
+    ("E10", "E10 - X10", (1, 1, 1), "a rational expansion of weight 12"),
+])
+def test_cache_file_whose_header_contradicts_its_name_is_refused(
+    genset_small, tmp_path, capsys, name, expr, index, header
+):
+    save_generator_set(genset_small, tmp_path)
+    path = cache_path(tmp_path, name, 5)
+    if name == "X4":
+        path.write_text(genset_small.x4.reduce_mod(23).to_text())
+    else:
+        path.write_text(path.read_text().replace("qexp 10 5 ", "qexp 12 5 ", 1))
+    status, out, err = run(
+        capsys, "coeff", expr, *index, "--trace-bound", 5, "--cache-dir", tmp_path
+    )
+    assert (status, out) == (2, "")
+    assert err == (
+        f"error: cache file {path} holds {header}, "
+        f"expected a rational one of weight {name[1:]}\n"
+    )
+
+
 def test_coeff_rejects_bad_expression(cli_cache, capsys):
     status, out, err = run(
         capsys, "coeff", "X4 + X6", 1, 1, 0, "--cache-dir", cli_cache

@@ -229,7 +229,7 @@ def test_det4_matches_cofactor_expansion():
 
 
 def test_build_x35_requires_trace_five():
-    fam = eisenstein_family(4, validate=False)
+    fam = eisenstein_family(4)
     x4, x6 = fam[4], fam[6]
     with pytest.raises(ConstructionError):
         build_x35(x4, x6, x4, x6)  # wrong forms, but the bound check fires first
