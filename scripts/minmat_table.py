@@ -4,13 +4,16 @@ Usage:
 
     python3 scripts/minmat_table.py [--trace-bound N] [--cache-dir DIR]
 
-Each generator's minimum is checked against the expected table; exit
-status 1 on any mismatch.
+Each generator's minimum is checked against the expected table.  Exit
+status: 0 all match, 1 any mismatch, 2 a usage error, reported as
+`error: ...` on stderr: a trace bound below 5 or above the cap of
+`siegel2`, or a cache file whose header contradicts its name.
 """
 
 import argparse
 import sys
 
+from siegel2.cli import USAGE_ERRORS, check_trace_bound
 from siegel2.congruence import min_matrix
 from siegel2.igusa import ensure_generator_set
 from siegel2.reference import MIN_MATRIX_REFERENCE
@@ -24,7 +27,12 @@ def main(argv=None) -> int:
     ap.add_argument("--cache-dir", default=None)
     args = ap.parse_args(argv)
 
-    gen, _ = ensure_generator_set(args.trace_bound, args.cache_dir)
+    try:
+        check_trace_bound(args.trace_bound)
+        gen, _ = ensure_generator_set(args.trace_bound, args.cache_dir)
+    except USAGE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     header = ["form"] + [f"p={p}" for p in PRIMES] + ["expected"]
     rows = [header]
     failures = 0

@@ -6,14 +6,16 @@ Usage:
 
 Prints a short build summary and then the certificate of `siegel2 verify`
 (the reference-coefficient check included).  Exit status: 0 certified,
-1 refuted, 2 insufficient bound.
+1 refuted, 2 insufficient bound or a usage error, reported as `error: ...`
+on stderr: a trace bound below 5 or above the cap of `siegel2`, or a cache
+file whose header contradicts its name.
 """
 
 import argparse
 import sys
 import time
 
-from siegel2.cli import verify_certificate
+from siegel2.cli import USAGE_ERRORS, check_trace_bound, verify_certificate
 from siegel2.congruence import CERTIFIED, REFUTED
 from siegel2.igusa import ensure_generator_set
 
@@ -25,7 +27,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     start = time.perf_counter()
-    gen, cached = ensure_generator_set(args.trace_bound, args.cache_dir)
+    try:
+        check_trace_bound(args.trace_bound)
+        gen, cached = ensure_generator_set(args.trace_bound, args.cache_dir)
+    except USAGE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     built = time.perf_counter() - start
 
     source = "cache" if cached else "fresh build"

@@ -32,14 +32,16 @@ from .congruence import (
     Certificate,
     CheckRecord,
     min_matrix,
+    sturm_bound_even,
+    sturm_bound_odd,
     sturm_even,
     sturm_odd,
     verify_x35_mod23,
     verify_theta_mod5,
 )
-from .expr import ExprError, eval_expr, parse
+from .expr import eval_expr, parse
 from .igusa import ConstructionError, cache_path, CACHE_NAMES, ensure_generator_set
-from .qexp import ReductionError, TIndex, iter_l2_indices
+from .qexp import TIndex, iter_l2_indices, require_prime
 from .reference import X35_LOW_TRACE, x35_reference_violations
 
 ENV_CACHE_DIR = "SIEGEL2_CACHE_DIR"
@@ -48,6 +50,9 @@ DEFAULT_TRACE_BOUND = 12
 # are refused before any work starts
 MAX_TRACE_BOUND = 40
 DEFAULT_PRIME = 23
+# what `main` reports as "error: ..." with exit status 2 (parse, grading
+# and reduction errors are ValueErrors)
+USAGE_ERRORS = (ConstructionError, ValueError, OSError)
 
 _VERDICT_STATUS = {CERTIFIED: 0, REFUTED: 1, INSUFFICIENT: 2}
 
@@ -59,11 +64,13 @@ class Config:
     fmt: str = "table"
 
 
+def check_trace_bound(trace_bound: int) -> None:
+    if trace_bound > MAX_TRACE_BOUND:
+        raise ValueError(f"trace bound {trace_bound} exceeds the maximum {MAX_TRACE_BOUND}")
+
+
 def _config(args) -> Config:
-    if args.trace_bound > MAX_TRACE_BOUND:
-        raise ValueError(
-            f"trace bound {args.trace_bound} exceeds the maximum {MAX_TRACE_BOUND}"
-        )
+    check_trace_bound(args.trace_bound)
     if args.cache_dir is not None:
         cache_dir = Path(args.cache_dir)
     else:
@@ -76,10 +83,17 @@ def _generators(cfg: Config):
     return gen
 
 
-def _eval(args, cfg: Config, modulus=None):
-    gen = _generators(cfg)
+def _parse(args):
+    """The expression's syntax tree, with --prime checked: usage errors
+    surface before any build starts."""
     node = parse(args.expr)
-    return gen, node, eval_expr(node, gen, modulus)
+    if args.prime is not None:
+        require_prime(args.prime)
+    return node
+
+
+def _eval(node, args, cfg: Config):
+    return eval_expr(node, _generators(cfg), args.prime)
 
 
 def _print_certificate(cert: Certificate) -> int:
@@ -144,8 +158,7 @@ def _cmd_coeff(args) -> int:
             file=sys.stderr,
         )
         return 2
-    gen, node, value = _eval(args, cfg, args.prime)
-    c = value.coefficient(T)
+    c = _eval(_parse(args), args, cfg).coefficient(T)
     if cfg.fmt == "lines":
         print(c)
     else:
@@ -156,8 +169,7 @@ def _cmd_coeff(args) -> int:
 
 def _cmd_minmat(args) -> int:
     cfg = _config(args)
-    gen, node, value = _eval(args, cfg, args.prime)
-    res = min_matrix(value)
+    res = min_matrix(_eval(_parse(args), args, cfg))
     if cfg.fmt == "lines":
         if res.is_infinity:
             print(f"infinity {res.trace_bound_examined}")
@@ -170,26 +182,22 @@ def _cmd_minmat(args) -> int:
 
 def _cmd_theta(args) -> int:
     cfg = _config(args)
-    gen, node, value = _eval(args, cfg, args.prime)
-    print(value.theta().to_text(), end="")
+    print(_eval(_parse(args), args, cfg).theta().to_text(), end="")
     return 0
 
 
 def _cmd_sturm(args) -> int:
     cfg = _config(args)
-    gen, node, value = _eval(args, cfg, args.prime)
+    node = _parse(args)
     k = args.weight if args.weight is not None else node.weight
-    if k % 2:
-        cert = sturm_odd(value, k, name=args.expr)
-    else:
-        cert = sturm_even(value, k, name=args.expr)
-    return _print_certificate(cert)
+    criterion, bound = (sturm_odd, sturm_bound_odd) if k % 2 else (sturm_even, sturm_bound_even)
+    bound(k, args.prime)  # a weight or prime the criterion refuses fails before the build
+    return _print_certificate(criterion(_eval(node, args, cfg), k, name=args.expr))
 
 
 def _cmd_dump(args) -> int:
     cfg = _config(args)
-    gen, node, value = _eval(args, cfg, args.prime)
-    print(value.to_text(), end="")
+    print(_eval(_parse(args), args, cfg).to_text(), end="")
     return 0
 
 
@@ -275,7 +283,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ExprError, ConstructionError, ReductionError, ValueError, OSError) as exc:
+    except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .numtheory import bernoulli, cohen_h, divisor_sigma, divisors
-from .qexp import Expansion, TIndex, iter_l2_indices, order_key
+from .qexp import Expansion, TIndex, iter_l2_indices
 
 __all__ = [
     "ConstructionError",
@@ -260,7 +260,7 @@ def integrality_check(gen) -> list[tuple[str, TIndex, object]]:
     items = gen.generators().items() if hasattr(gen, "generators") else gen.items()
     out = []
     for name, form in items:
-        for T in sorted(form.coeffs, key=order_key):
+        for T in form.support():
             c = form.coeffs[T]
             if c.denominator != 1:
                 out.append((name, T, c))
@@ -346,9 +346,8 @@ def load_generator_set(trace_bound: int, cache_dir) -> GeneratorSet | None:
         if exp.trace_bound != trace_bound:
             raise ValueError(f"cache file {path} has inconsistent trace bound")
         if exp.weight != int(name[1:]) or exp.modulus is not None:
-            domain = "rational" if exp.modulus is None else f"mod {exp.modulus}"
             raise ValueError(
-                f"cache file {path} holds a {domain} expansion of weight {exp.weight}, "
+                f"cache file {path} holds a {exp._domain()} expansion of weight {exp.weight}, "
                 f"expected a rational one of weight {name[1:]}"
             )
         forms[name] = exp

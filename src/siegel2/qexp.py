@@ -6,7 +6,7 @@ An index triple T = (m, n, r) stands for the half-integral symmetric matrix
      [ r/2, n  ]]
 
 The positive semidefinite cone L2 is cut out by m >= 0, n >= 0 and
-4mn - r^2 >= 0; `trace(T) = m + n` and `fourdet(T) = 4mn - r^2 = 4 det(T)`.
+4mn - r^2 >= 0; `T.trace = m + n` and `T.fourdet = 4mn - r^2 = 4 det(T)`.
 An `Expansion` stores the nonzero coefficients a(T) for trace(T) <= N.
 Traces are non-negative and add under index addition, so sums and products
 of bound-N expansions are again *exact* at every index of trace <= N: the
@@ -18,6 +18,10 @@ Two coefficient domains are supported:
   integer-valued fractions are stored as `int`);
 * residues mod a prime p: canonical ints in [0, p), with the modulus
   carried on the expansion (`modulus` attribute; `None` means rational).
+
+Every operation computes with plain `+` and `*` in either domain and hands
+each result to one normaliser, `_canon`; `_embed` turns a rational scalar
+into a coefficient of the domain.
 
 Indices are ordered lexicographically by (trace, m, r).  `order_key` is
 the sort key realizing this total order on index triples (which need not
@@ -39,13 +43,12 @@ from .numtheory import is_prime
 
 __all__ = [
     "TIndex",
-    "trace",
-    "fourdet",
     "order_key",
     "order_cmp",
     "iter_l2_indices",
     "Expansion",
     "ReductionError",
+    "require_prime",
     "symmetry_check",
 ]
 
@@ -100,14 +103,6 @@ class TIndex(NamedTuple):
         return TIndex(-self.m, -self.n, -self.r)
 
 
-def trace(t) -> int:
-    return t[0] + t[1]
-
-
-def fourdet(t) -> int:
-    return 4 * t[0] * t[1] - t[2] * t[2]
-
-
 def order_key(t) -> tuple[int, int, int]:
     """Sort key of the (trace, m, r) lexicographic order on index triples."""
     return (t[0] + t[1], t[0], t[2])
@@ -143,20 +138,34 @@ class ReductionError(ValueError):
         )
 
 
-def _canon_rational(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+def require_prime(p: int) -> None:
+    """Refuse a modulus that is not prime: residues need a field."""
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
 
 
-def _to_residue(c, p: int) -> int:
-    # works uniformly for int and Fraction via the Rational protocol
+def _canon(v, p: int | None):
+    """v in the canonical form of its domain: a residue in [0, p) mod p,
+    an int in place of an integer-valued Fraction when p is None."""
+    if p is None:
+        return int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
+    return v % p
+
+
+def _embed(c, p: int | None, index=None):
+    """The rational c as a canonical coefficient of the domain of p.
+
+    A denominator divisible by p raises ReductionError at `index`, or a
+    ValueError naming the scalar when no index is given.
+    """
+    if p is None:
+        return _canon(c, None)
     num, den = c.numerator, c.denominator
     if den % p == 0:
-        raise ZeroDivisionError(f"{c} is not {p}-integral")
-    if den == 1:
-        return num % p
-    return num * pow(den, -1, p) % p
+        if index is None:
+            raise ValueError(f"scalar {c} is not {p}-integral")
+        raise ReductionError(index, c, p)
+    return num % p if den == 1 else num * pow(den, -1, p) % p
 
 
 _AXIS_SLOT = {"11": 0, "12": 2, "22": 1}  # which of (m, n, r) multiplies
@@ -177,8 +186,8 @@ class Expansion:
     def __init__(self, weight, trace_bound: int, coeffs=None, modulus: int | None = None):
         if trace_bound < 0:
             raise ValueError("trace bound must be >= 0")
-        if modulus is not None and not is_prime(modulus):
-            raise ValueError(f"modulus {modulus} is not prime")
+        if modulus is not None:
+            require_prime(modulus)
         canon: dict[TIndex, object] = {}
         if coeffs:
             for key, val in coeffs.items():
@@ -189,13 +198,7 @@ class Expansion:
                     raise ValueError(
                         f"index {tuple(idx)} exceeds the trace bound {trace_bound}"
                     )
-                if modulus is None:
-                    val = _canon_rational(val)
-                else:
-                    try:
-                        val = _to_residue(val, modulus)
-                    except ZeroDivisionError:
-                        raise ReductionError(idx, val, modulus) from None
+                val = _embed(val, modulus, idx)
                 if val:
                     canon[idx] = val
         self.weight = weight
@@ -229,9 +232,8 @@ class Expansion:
     # ----- basic protocol -------------------------------------------------
 
     def __repr__(self) -> str:
-        dom = "rational" if self.modulus is None else f"mod {self.modulus}"
         w = "-" if self.weight is None else self.weight
-        return f"<Expansion weight={w} bound={self.trace_bound} {dom} terms={len(self.coeffs)}>"
+        return f"<Expansion weight={w} bound={self.trace_bound} {self._domain()} terms={len(self.coeffs)}>"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Expansion):
@@ -289,11 +291,7 @@ class Expansion:
             if prev is None:
                 out[T] = c
                 continue
-            v = prev + c
-            if p is not None:
-                v %= p
-            else:
-                v = _canon_rational(v)
+            v = _canon(prev + c, p)
             if v:
                 out[T] = v
             else:
@@ -311,19 +309,8 @@ class Expansion:
     def scale(self, c) -> "Expansion":
         """Scalar multiple; preserves the weight."""
         p = self.modulus
-        if p is None:
-            c = _canon_rational(c)
-            if not c:
-                return Expansion._raw(self.weight, self.trace_bound, {}, None)
-            out = {T: _canon_rational(v * c) for T, v in self.coeffs.items()}
-        else:
-            try:
-                cr = _to_residue(c, p)
-            except ZeroDivisionError:
-                raise ValueError(f"scalar {c} is not {p}-integral") from None
-            if cr == 0:
-                return Expansion._raw(self.weight, self.trace_bound, {}, p)
-            out = {T: v * cr % p for T, v in self.coeffs.items()}
+        c = _embed(c, p)
+        out = {T: _canon(v * c, p) for T, v in self.coeffs.items()} if c else {}
         return Expansion._raw(self.weight, self.trace_bound, out, p)
 
     def __mul__(self, other):
@@ -367,17 +354,14 @@ class Expansion:
                 out[k] = c1 * c2 if prev is None else prev + c1 * c2
         canon = {}
         for k, v in out.items():
-            v = _canon_rational(v) if p is None else v % p
+            v = _canon(v, p)
             if v:
                 mn, r = divmod(k, stride_r)
                 m, n = divmod(mn, stride_n)
                 canon[TIndex(m, n, r - bound)] = v
         return Expansion._raw(w, bound, canon, p)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # reached only with a scalar on the left
 
     def __pow__(self, e: int) -> "Expansion":
         if not isinstance(e, int) or e < 0:
@@ -424,7 +408,7 @@ class Expansion:
             f = T[slot]
             if not f:
                 continue
-            v = c * f if p is None else c * f % p
+            v = _canon(c * f, p)
             if v:
                 out[T] = v
         return Expansion._raw(None, self.trace_bound, out, p)
@@ -436,18 +420,13 @@ class Expansion:
         quarter means dividing by 4, so p = 2 is rejected.
         """
         p = self.modulus
+        try:
+            quarter = _embed(Fraction(1, 4), p)
+        except ValueError:
+            raise ValueError("theta needs 4 invertible: p = 2 is not supported") from None
         out = {}
-        if p is None:
-            for T, c in self.coeffs.items():
-                fd = 4 * T.m * T.n - T.r * T.r
-                if fd:
-                    out[T] = _canon_rational(Fraction(fd, 4) * c)
-            return Expansion._raw(None, self.trace_bound, out, None)
-        if p == 2:
-            raise ValueError("theta needs 4 invertible: p = 2 is not supported")
-        inv4 = pow(4, -1, p)
         for T, c in self.coeffs.items():
-            v = (4 * T.m * T.n - T.r * T.r) % p * inv4 % p * c % p
+            v = _canon((4 * T.m * T.n - T.r * T.r) * quarter * c, p)
             if v:
                 out[T] = v
         return Expansion._raw(None, self.trace_bound, out, p)
@@ -466,15 +445,10 @@ class Expansion:
         """
         if self.modulus is not None:
             raise ValueError("expansion is already reduced")
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+        require_prime(p)
         out = {}
-        for T in sorted(self.coeffs, key=order_key):
-            c = self.coeffs[T]
-            try:
-                v = _to_residue(c, p)
-            except ZeroDivisionError:
-                raise ReductionError(T, c, p) from None
+        for T in self.support():
+            v = _embed(self.coeffs[T], p, T)
             if v:
                 out[T] = v
         return Expansion._raw(self.weight, self.trace_bound, out, p)
@@ -488,17 +462,13 @@ class Expansion:
         line per nonzero coefficient: `m n r numerator denominator` in the
         rational domain, `m n r residue` mod p.
         """
-        if self.modulus is None:
-            head = f"qexp {'-' if self.weight is None else self.weight} {self.trace_bound} rational"
-            lines = [head]
-            for T in sorted(self.coeffs, key=order_key):
-                c = self.coeffs[T]
-                lines.append(f"{T.m} {T.n} {T.r} {c.numerator} {c.denominator}")
-        else:
-            head = f"qexp {'-' if self.weight is None else self.weight} {self.trace_bound} mod {self.modulus}"
-            lines = [head]
-            for T in sorted(self.coeffs, key=order_key):
-                lines.append(f"{T.m} {T.n} {T.r} {self.coeffs[T]}")
+        w = "-" if self.weight is None else self.weight
+        lines = [f"qexp {w} {self.trace_bound} {self._domain()}"]
+        rational = self.modulus is None
+        for T in self.support():
+            c = self.coeffs[T]
+            value = f"{c.numerator} {c.denominator}" if rational else c
+            lines.append(f"{T.m} {T.n} {T.r} {value}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -559,9 +529,7 @@ def symmetry_check(F: Expansion) -> list[tuple[TIndex, str, object, object]]:
         ):
             if T2.trace > bound:
                 continue
-            expect = s * F.coefficient(T2)
-            if p is not None:
-                expect %= p
+            expect = _canon(s * F.coefficient(T2), p)
             if a != expect:
                 out.append((T, label, expect, a))
     return out

@@ -15,3 +15,9 @@ def genset():
 def genset_small():
     """A cheap low-bound build for insufficiency paths."""
     return build_generator_set(5)
+
+
+@pytest.fixture(scope="session")
+def genset9():
+    """A build at trace bound 9, the bound of the reference coefficients."""
+    return build_generator_set(9)

@@ -148,14 +148,18 @@ def test_coeff_rejects_bad_index(cli_cache, capsys):
     assert status == 2 and "trace bound" in err
 
 
-@pytest.mark.parametrize("m, n, r, message", [
-    (-1, 0, 0, "error: index (-1, 0, 0) is not positive semidefinite\n"),
-    (9, 9, 0, "error: index (9, 9, 0) exceeds the trace bound 14\n"),
-])
-def test_coeff_rejects_bad_index_before_any_build(tmp_path, capsys, m, n, r, message):
-    status, out, err = run(
-        capsys, "coeff", "X4", m, n, r, "--trace-bound", 14, "--cache-dir", tmp_path
-    )
+@pytest.mark.parametrize("argv, message", [
+    (["coeff", "X4", -1, 0, 0], "error: index (-1, 0, 0) is not positive semidefinite\n"),
+    (["coeff", "X4", 9, 9, 0], "error: index (9, 9, 0) exceeds the trace bound 14\n"),
+    (["coeff", "X4/X6", 1, 0, 0], "error: there is no division operator (at position 2)\n"),
+    (["sturm", "X4 + 1", "--prime", 5], "error: weight mismatch in sum: 4 vs 0 (at position 3)\n"),
+    (["sturm", "X4", "--prime", 3], "error: the vanishing criteria need p >= 5; got 3\n"),
+    (["coeff", "X4", 1, 0, 0, "--prime", 4], "error: modulus 4 is not prime\n"),
+    # ids: the argv after the expression, then the message
+], ids=lambda case: "-".join(map(str, case[2:])) if isinstance(case, list) else case)
+def test_coeff_rejects_bad_index_before_any_build(tmp_path, capsys, argv, message):
+    # argv alone decides these: the cache directory stays empty
+    status, out, err = run(capsys, *argv, "--trace-bound", 14, "--cache-dir", tmp_path)
     assert (status, out, err) == (2, "", message)
     assert list(tmp_path.iterdir()) == []
 

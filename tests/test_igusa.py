@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from siegel2.cli import main
 from siegel2.igusa import (
     CACHE_NAMES,
     ConstructionError,
@@ -325,3 +326,32 @@ def test_cache_files_at_n12_are_pinned(tmp_path, genset):
         for name, path in zip(CACHE_NAMES, paths)
     }
     assert digests == CACHE_SHA256_N12
+
+
+# SHA-256 of the stdout of theta and dump at N = 9, in both domains; the two
+# mod-p theta images vanish, so they are the bare header line
+CLI_OUTPUT_SHA256_N9 = {
+    ("theta", "X6"): "505d82e38d04fff7a76e6e4afb6cb67b4d2edbd082a31961c725a659b28f85d3",
+    ("theta", "X35", "--prime", "23"):
+        "2e9a4d91392aabb4edf5a02e90cceb30febd347637ab85e42f004db66b5e9bfc",
+    ("theta", "E10", "--prime", "7"):
+        "0cef97dbf5cb30000a49fd1f8b1da1ad8e38ed93206c7266692b54f47c45ce70",
+    ("dump", "1/2*X4^3 - X6^2 + 3/7*E12"):
+        "7802580137230aadf30680640ca6bbbdd44d85d85790d5d562c4202651ce06ca",
+    ("dump", "X10*X12*X4", "--prime", "23"):
+        "a703bf014d4cf9825327d3da6e117046d8e7691cc4ba2bf3f09e7f3eb97ff0c3",
+}
+
+
+@pytest.fixture(scope="module")
+def cache9(tmp_path_factory, genset9):
+    cache = tmp_path_factory.mktemp("cache9")
+    save_generator_set(genset9, cache)
+    return cache
+
+
+@pytest.mark.parametrize("argv", list(CLI_OUTPUT_SHA256_N9), ids=" ".join)
+def test_theta_and_dump_outputs_at_n9_are_pinned(cache9, capsys, argv):
+    assert main([*argv, "--trace-bound", "9", "--cache-dir", str(cache9)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_OUTPUT_SHA256_N9[argv]

@@ -48,6 +48,16 @@ def expansions(draw, max_trace=5, weight=0, modulus=None):
     return Expansion(weight, bound, coeffs, modulus)
 
 
+def assert_canonical(F):
+    """Rational values are an int or a non-integral Fraction; residues are
+    ints in [1, p)."""
+    for c in F.coeffs.values():
+        if F.modulus is None:
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+        else:
+            assert type(c) is int and 0 < c < F.modulus, c
+
+
 # ----- index helpers ------------------------------------------------------
 
 
@@ -283,9 +293,8 @@ def test_mul_matches_naive_convolution(operands):
     else:
         assert H.weight == F.weight + G.weight
     assert H.coeffs == naive_product(F, G)
-    for T, c in H.coeffs.items():
-        assert type(T) is TIndex
-        assert type(c) is int or c.denominator != 1  # canonical form
+    assert all(type(T) is TIndex for T in H.coeffs)
+    assert_canonical(H)
 
 
 @given(F=expansions(max_trace=4), G=expansions(max_trace=4), H=expansions(max_trace=4))
@@ -293,6 +302,8 @@ def test_ring_laws(F, G, H):
     assert F * G == G * F
     assert (F * G) * H == F * (G * H)
     assert F * (G + H) == F * G + F * H
+    for result in (F + G, F - G, F * G, F.scale(Fraction(2, 3)), F.scale(6), F.theta()):
+        assert_canonical(result)
 
 
 @given(F=expansions(modulus=7), G=expansions(modulus=7))
@@ -300,6 +311,10 @@ def test_mod_p_mul_matches_brute_force(F, G):
     H = F * G
     for T in iter_l2_indices(H.trace_bound):
         assert H.coefficient(T) == conv_oracle(F, G, T) % 7
+    for result in (F, H, F + G, F - G, F.scale(Fraction(3, 2)), F.theta()):
+        assert_canonical(result)
+    for axis in ("11", "12", "22"):
+        assert_canonical(F.derivative(axis))
 
 
 def test_truncate():
@@ -321,6 +336,9 @@ def test_derivative_axes():
     assert F.derivative("11").weight is None
     with pytest.raises(ValueError):
         F.derivative("21")
+    half = Expansion(None, 3, {(2, 0, 0): Fraction(1, 2)}).derivative("11")
+    assert half.coeffs == {TIndex(2, 0, 0): 1}
+    assert_canonical(half)
 
 
 @pytest.mark.parametrize("axis", ["11", "12", "22"])
@@ -329,6 +347,7 @@ def test_derivative_leibniz(axis, F, G):
     lhs = (F * G).derivative(axis)
     rhs = F.derivative(axis) * G + F * G.derivative(axis)
     assert lhs == rhs
+    assert_canonical(F.derivative(axis))
 
 
 def test_theta_examples():
@@ -385,6 +404,7 @@ def test_reduce_mod_is_ring_map(F):
         Fp = F.reduce_mod(p)
     except ReductionError:
         return
+    assert_canonical(Fp)
     assert (F + F).reduce_mod(p) == Fp + Fp
     assert (F * F).reduce_mod(p) == Fp * Fp
 
@@ -411,6 +431,7 @@ def test_text_round_trip_rational(F):
     text = F.to_text()
     G = Expansion.from_text(text)
     assert G == F
+    assert_canonical(G)
     assert G.to_text() == text
 
 
@@ -419,6 +440,7 @@ def test_text_round_trip_mod_p(F):
     text = F.to_text()
     G = Expansion.from_text(text)
     assert G == F
+    assert_canonical(G)
     assert G.to_text() == text
 
 

@@ -1,10 +1,14 @@
 """Tests of the runnable scripts under scripts/."""
 
 import importlib.util
+import re
 from pathlib import Path
 
-from siegel2.cli import main
-from siegel2.igusa import build_generator_set, cache_path, save_generator_set
+import pytest
+
+from siegel2.cli import MAX_TRACE_BOUND, main
+from siegel2.igusa import CACHE_NAMES, cache_path, save_generator_set
+from siegel2.reference import MIN_MATRIX_REFERENCE
 
 
 def load_script(name):
@@ -15,9 +19,9 @@ def load_script(name):
     return module
 
 
-def test_reproduce_mod23_refutes_a_cache_that_verify_refutes(tmp_path, capsys):
+def test_reproduce_mod23_refutes_a_cache_that_verify_refutes(genset9, tmp_path, capsys):
     # 24 = 1 mod 23, so only the reference coefficients catch this edit
-    save_generator_set(build_generator_set(9), tmp_path)
+    save_generator_set(genset9, tmp_path)
     x35_file = cache_path(tmp_path, "X35", 9)
     text = x35_file.read_text()
     assert "\n2 3 -1 1 1\n" in text
@@ -32,3 +36,47 @@ def test_reproduce_mod23_refutes_a_cache_that_verify_refutes(tmp_path, capsys):
     summary, certificate = capsys.readouterr().out.split("\n\n", 1)
     assert summary.startswith("# generators at trace bound 9 (cache, ")
     assert certificate == verify_out
+
+
+def test_minmat_table_prints_the_five_row_table(tmp_path, capsys):
+    script = load_script("minmat_table")
+    assert script.main(["--trace-bound", "6", "--cache-dir", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    header, *rows = [re.split(r" {2,}", line) for line in out.splitlines()]
+    assert header == ["form", "p=5", "p=7", "p=11", "p=13", "p=23", "expected"]
+    assert rows == [
+        [name] + [str(tuple(want))] * 6 for name, want in MIN_MATRIX_REFERENCE.items()
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        cache_path(tmp_path, name, 6).name for name in CACHE_NAMES
+    )
+
+
+@pytest.mark.parametrize("name", ["reproduce_mod23", "minmat_table"])
+@pytest.mark.parametrize("bound, message", [
+    (4, "error: generator builds need trace bound >= 5 "
+        "(the X35 normalization index (2,3,-1) has trace 5)\n"),
+    (MAX_TRACE_BOUND + 1,
+     f"error: trace bound {MAX_TRACE_BOUND + 1} exceeds the maximum {MAX_TRACE_BOUND}\n"),
+])
+def test_scripts_refuse_a_bound_before_any_build(tmp_path, capsys, name, bound, message):
+    script = load_script(name)
+    assert script.main(["--trace-bound", str(bound), "--cache-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["reproduce_mod23", "minmat_table"])
+def test_scripts_refuse_a_cache_file_whose_header_contradicts_its_name(
+    genset_small, tmp_path, capsys, name
+):
+    save_generator_set(genset_small, tmp_path)
+    path = cache_path(tmp_path, "X4", 5)
+    path.write_text(genset_small.x4.reduce_mod(23).to_text())
+    script = load_script(name)
+    assert script.main(["--trace-bound", "5", "--cache-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: cache file {path} holds a mod 23 expansion of weight 4, "
+        "expected a rational one of weight 4\n"
+    ))
