@@ -41,7 +41,7 @@ from .congruence import (
 )
 from .expr import eval_expr, parse
 from .igusa import ConstructionError, cache_path, CACHE_NAMES, ensure_generator_set
-from .qexp import TIndex, iter_l2_indices, require_prime
+from .qexp import TIndex, iter_l2_indices, require_prime, theta_quarter
 from .reference import X35_LOW_TRACE, x35_reference_violations
 
 ENV_CACHE_DIR = "SIEGEL2_CACHE_DIR"
@@ -182,7 +182,9 @@ def _cmd_minmat(args) -> int:
 
 def _cmd_theta(args) -> int:
     cfg = _config(args)
-    print(_eval(_parse(args), args, cfg).theta().to_text(), end="")
+    node = _parse(args)
+    theta_quarter(args.prime)  # p = 2 fails before the build
+    print(_eval(node, args, cfg).theta().to_text(), end="")
     return 0
 
 

@@ -1,26 +1,29 @@
 """Construction of the five ring generators as exact truncated expansions.
 
-The degree-2 Eisenstein series E_k (k = 4, 6, 8, 10, 12) are built from
-the H-function formula
+Every even form here is a Maass lift (Eichler-Zagier, *The Theory of
+Jacobi Forms*, 1985, section 6): from the coefficients c(D) of a Jacobi
+form of weight k and index 1, indexed by the discriminant D = 4n - r^2,
 
-    a(T; E_k) = 2 / (zeta(1-k) zeta(3-2k))
-                * sum_{d | content(T)} d^(k-1) H(k-1, fourdet(T)/d^2)
+    a(T) = sum_{d | content(T)} d^(k-1) c(4 det(T) / d^2)   (T != 0),
+    a(0) = -B_k / (2k) * c(0).
 
-for T != 0 (and a(0) = 1); on rank-1 indices this degenerates to the
-classical -2k/B_k * sigma_{k-1}(content).  Every build cross-checks the
-family against the genus-1 series under the Siegel restriction and checks
-the one-dimensionality identity E4^2 = E8 exactly; a failure of either is
-a construction bug and raises instead of producing output.
+The degree-2 Eisenstein series E_k (k = 4, 6, 8, 10, 12) lift
+c(D) = 2 / (zeta(1-k) zeta(3-2k)) * H(k-1, D) with Cohen's H, so
+a(0) = 1 and on rank-1 indices the lift degenerates to the classical
+-2k/B_k * sigma_{k-1}(content).  Every build cross-checks the family
+against the genus-1 series under the Siegel restriction and checks the
+one-dimensionality identity E4^2 = E8 exactly; a failure of either is a
+construction bug and raises instead of producing output.
 
 Generators and normalizations:
 
     X4  = E4,  X6 = E6               a((0,0,0)) = 1
-    X10, X12: cusp projections       a((1,1,1)) = 1, zero on rank <= 1
+    X10, X12: cusp forms             a((1,1,1)) = 1, zero on rank <= 1
     X35: odd generator               a((2,3,-1)) = 1
 
-X10 is cut out of span{E4*E6, E10} by the constant term and the (1,1,1)
-normalization; X12 out of span{E4^3, E6^2, E12} with the extra condition
-a((1,0,0)) = 0.  X35 is the normalized 4x4 determinant whose first row is
+X10 and X12 lift phi_{10,1} = eta^18 theta(tau, z)^2 and
+19 E2 phi_{10,1} - 6 L phi_{10,1} with the heat operator L (see
+`build_x10_x12`).  X35 is the normalized 4x4 determinant whose first row is
 (4 X4, 6 X6, 10 X10, 12 X12) and whose other rows are the three
 (2 pi i)^(-1)-normalized partials of the four even generators: weighting
 the first row by the weights makes the inhomogeneous terms of the
@@ -34,6 +37,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 from .numtheory import bernoulli, cohen_h, divisor_sigma, divisors
@@ -45,6 +49,7 @@ __all__ = [
     "SUPPORTED_WEIGHTS",
     "GENERATOR_NAMES",
     "genus1_eisenstein",
+    "maass_lift",
     "siegel_eisenstein",
     "eisenstein_family",
     "build_x10_x12",
@@ -82,6 +87,17 @@ def genus1_eisenstein(k: int, trace_bound: int) -> list:
     return out
 
 
+def maass_lift(c, k: int, trace_bound: int) -> Expansion:
+    """The weight-k Maass lift of the index-1 Jacobi form whose coefficient
+    at discriminant D = 4n - r^2 is c(D) (see the module docstring)."""
+    coeffs = {TIndex(0, 0, 0): -bernoulli(k) / (2 * k) * c(0)}
+    for T in iter_l2_indices(trace_bound):
+        if T.trace:  # T != 0
+            fd = T.fourdet
+            coeffs[T] = sum(c(fd // (d * d)) * d ** (k - 1) for d in divisors(T.content))
+    return Expansion(k, trace_bound, coeffs)
+
+
 def siegel_eisenstein(k: int, trace_bound: int) -> Expansion:
     """The degree-2 Eisenstein series E_k, exact to the trace bound."""
     if k not in SUPPORTED_WEIGHTS:
@@ -89,17 +105,7 @@ def siegel_eisenstein(k: int, trace_bound: int) -> Expansion:
     zeta_1mk = -bernoulli(k) / k
     zeta_3m2k = -bernoulli(2 * k - 2) / (2 * k - 2)
     prefactor = 2 / (zeta_1mk * zeta_3m2k)
-    coeffs: dict[TIndex, object] = {}
-    for T in iter_l2_indices(trace_bound):
-        if T == (0, 0, 0):
-            coeffs[T] = 1
-            continue
-        fd = T.fourdet
-        acc = Fraction(0)
-        for d in divisors(T.content):
-            acc += d ** (k - 1) * cohen_h(k - 1, fd // (d * d))
-        coeffs[T] = prefactor * acc
-    return Expansion(k, trace_bound, coeffs)
+    return maass_lift(lambda D: prefactor * cohen_h(k - 1, D), k, trace_bound)
 
 
 def eisenstein_family(trace_bound: int) -> dict[int, Expansion]:
@@ -115,32 +121,6 @@ def eisenstein_family(trace_bound: int) -> dict[int, Expansion]:
     return family
 
 
-def _solve_linear(matrix, rhs) -> list[Fraction]:
-    """Exact Gauss-Jordan solve of a small square system."""
-    n = len(rhs)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col]), None)
-        if pivot is None:
-            raise ConstructionError("singular linear system in the cusp projection")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
-def _combine(basis, coeffs, weight) -> Expansion:
-    total = None
-    for b, c in zip(basis, coeffs):
-        term = b.scale(c)
-        total = term if total is None else total + term
-    return total.with_weight(weight)
-
-
 def _cusp_violation(F: Expansion) -> TIndex | None:
     for T in iter_l2_indices(F.trace_bound):
         if T.fourdet == 0 and F.coefficient(T):
@@ -148,38 +128,42 @@ def _cusp_violation(F: Expansion) -> TIndex | None:
     return None
 
 
-def build_x10_x12(trace_bound: int, family: dict[int, Expansion]):
-    """Cut the weight-10 and weight-12 cusp generators out of Eisenstein products."""
-    if trace_bound < 2:
-        raise ConstructionError("normalization index (1,1,1) has trace 2: need bound >= 2")
-    e4, e6 = family[4], family[6]
-    idx0, idx100, idx111 = TIndex(0, 0, 0), TIndex(1, 0, 0), TIndex(1, 1, 1)
+def build_x10_x12(trace_bound: int) -> tuple[Expansion, Expansion]:
+    """The weight-10 and weight-12 cusp generators as Maass lifts.
 
-    basis10 = [e4 * e6, family[10]]
-    sol = _solve_linear(
-        [[b.coefficient(idx0) for b in basis10], [b.coefficient(idx111) for b in basis10]],
-        [0, 1],
-    )
-    x10 = _combine(basis10, sol, weight=10)
+    X10 lifts phi_{10,1} = eta^18 theta^2 with
+    theta(tau, z) = sum_s (-1)^s q^((2s+1)^2/8) zeta^((2s+1)/2).  Its
+    coefficient at q^n zeta^r depends on D = 4n - r^2 alone:
 
-    basis12 = [e4 * e4 * e4, e6 * e6, family[12]]
-    sol = _solve_linear(
-        [
-            [b.coefficient(idx0) for b in basis12],
-            [b.coefficient(idx100) for b in basis12],
-            [b.coefficient(idx111) for b in basis12],
-        ],
-        [0, 0, 1],
-    )
-    x12 = _combine(basis12, sol, weight=12)
+        c10(D) = sum of (-1)^s p_i over s in Z, i >= 0 with D = 3 + s^2 + 4i,
 
-    for name, form in (("X10", x10), ("X12", x12)):
-        bad = _cusp_violation(form)
-        if bad is not None:
-            raise ConstructionError(f"{name} has a nonzero rank<=1 coefficient at {tuple(bad)}")
-        if form.coefficient(idx111) != 1:
-            raise ConstructionError(f"{name} normalization at (1,1,1) failed")
-    return x10, x12
+    where sum_i p_i q^i = prod_j (1 - q^j)^18.  X12 lifts the heat-operator
+    form 19 E2 phi_{10,1} - 6 L phi_{10,1} (Eichler-Zagier, sections 3 and
+    9; L multiplies c(D) by D, 19/6 is (2k - 1)/6 at k = 10), with
+    E2 = 1 - 24 sum sigma_1(j) q^j:
+
+        c12(D) = 19 sum_j e2_j c10(D - 4j) - 6 D c10(D).
+
+    c(0) = 0 makes both lifts cusp forms, c(3) = 1 gives a((1,1,1)) = 1,
+    and D = 4 det(T) <= trace_bound^2 on the whole truncation.
+    """
+    max_disc = trace_bound * trace_bound
+    p = [1] + [0] * (max_disc // 4)
+    for j in range(1, len(p)):
+        for _ in range(18):
+            for i in range(len(p) - 1, j - 1, -1):
+                p[i] -= p[i - j]
+    c10 = [0] * (max_disc + 1)
+    for s in range(-isqrt(max_disc), isqrt(max_disc) + 1):
+        for i in range((max_disc - 3 - s * s) // 4 + 1):
+            c10[3 + s * s + 4 * i] += (-1) ** abs(s) * p[i]
+    e2 = [1] + [-24 * divisor_sigma(1, j) for j in range(1, len(p))]
+    c12 = [
+        19 * sum(e2[j] * c10[D - 4 * j] for j in range(D // 4 + 1)) - 6 * D * c10[D]
+        for D in range(max_disc + 1)
+    ]
+    x10 = maass_lift(c10.__getitem__, 10, trace_bound)
+    return x10, maass_lift(c12.__getitem__, 12, trace_bound)
 
 
 _DET4_TERMS = (
@@ -252,14 +236,11 @@ class GeneratorSet:
         raise KeyError(name)
 
 
-def integrality_check(gen) -> list[tuple[str, TIndex, object]]:
-    """Report non-integer coefficients; empty means all generators integral.
-
-    Accepts a GeneratorSet or any mapping name -> Expansion.
-    """
-    items = gen.generators().items() if hasattr(gen, "generators") else gen.items()
+def integrality_check(forms: dict[str, Expansion]) -> list[tuple[str, TIndex, object]]:
+    """Report non-integer coefficients of a mapping name -> Expansion;
+    empty means all of them are integral."""
     out = []
-    for name, form in items:
+    for name, form in forms.items():
         for T in form.support():
             c = form.coeffs[T]
             if c.denominator != 1:
@@ -275,13 +256,13 @@ def build_generator_set(trace_bound: int) -> GeneratorSet:
             "(the X35 normalization index (2,3,-1) has trace 5)"
         )
     family = eisenstein_family(trace_bound)
-    x4, x6 = family[4], family[6]  # already normalized: constant term 1
-    x10, x12 = build_x10_x12(trace_bound, family)
-    x35 = build_x35(x4, x6, x10, x12)
-    gen = GeneratorSet(x4, x6, x10, x12, x35, family, trace_bound)
-    bad = _cusp_violation(x35)
-    if bad is not None:
-        raise ConstructionError(f"X35 has a nonzero rank<=1 coefficient at {tuple(bad)}")
+    x10, x12 = build_x10_x12(trace_bound)
+    x35 = build_x35(family[4], family[6], x10, x12)
+    gen = GeneratorSet(family[4], family[6], x10, x12, x35, family, trace_bound)
+    for name in ("X10", "X12", "X35"):
+        bad = _cusp_violation(gen.atom(name))
+        if bad is not None:
+            raise ConstructionError(f"{name} has a nonzero rank<=1 coefficient at {tuple(bad)}")
     for name, idx in (
         ("X4", (0, 0, 0)),
         ("X6", (0, 0, 0)),
@@ -291,7 +272,7 @@ def build_generator_set(trace_bound: int) -> GeneratorSet:
     ):
         if gen.atom(name).coefficient(idx) != 1:
             raise ConstructionError(f"{name} normalization at {idx} failed")
-    violations = integrality_check(gen)
+    violations = integrality_check(gen.generators())
     if violations:
         name, T, c = violations[0]
         raise ConstructionError(f"non-integral coefficient {c} at {tuple(T)} in {name}")

@@ -49,6 +49,7 @@ __all__ = [
     "Expansion",
     "ReductionError",
     "require_prime",
+    "theta_quarter",
     "symmetry_check",
 ]
 
@@ -166,6 +167,13 @@ def _embed(c, p: int | None, index=None):
             raise ValueError(f"scalar {c} is not {p}-integral")
         raise ReductionError(index, c, p)
     return num % p if den == 1 else num * pow(den, -1, p) % p
+
+
+def theta_quarter(p: int | None):
+    """The 1/4 of det(T) = (4mn - r^2)/4 in the domain of p, for theta."""
+    if p == 2:
+        raise ValueError("theta needs 4 invertible: p = 2 is not supported")
+    return _embed(Fraction(1, 4), p)
 
 
 _AXIS_SLOT = {"11": 0, "12": 2, "22": 1}  # which of (m, n, r) multiplies
@@ -420,10 +428,7 @@ class Expansion:
         quarter means dividing by 4, so p = 2 is rejected.
         """
         p = self.modulus
-        try:
-            quarter = _embed(Fraction(1, 4), p)
-        except ValueError:
-            raise ValueError("theta needs 4 invertible: p = 2 is not supported") from None
+        quarter = theta_quarter(p)
         out = {}
         for T, c in self.coeffs.items():
             v = _canon((4 * T.m * T.n - T.r * T.r) * quarter * c, p)

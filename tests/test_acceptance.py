@@ -193,6 +193,6 @@ def test_criterion_7_property_suites(genset):
 
 def test_criterion_8_integrality(genset):
     with criterion(8, "integral coefficients for all five generators"):
-        assert integrality_check(genset) == []
+        assert integrality_check(genset.generators()) == []
         for F in genset.generators().values():
             assert all(isinstance(c, int) for c in F.coeffs.values())

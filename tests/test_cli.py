@@ -155,6 +155,7 @@ def test_coeff_rejects_bad_index(cli_cache, capsys):
     (["sturm", "X4 + 1", "--prime", 5], "error: weight mismatch in sum: 4 vs 0 (at position 3)\n"),
     (["sturm", "X4", "--prime", 3], "error: the vanishing criteria need p >= 5; got 3\n"),
     (["coeff", "X4", 1, 0, 0, "--prime", 4], "error: modulus 4 is not prime\n"),
+    (["theta", "X4", "--prime", 2], "error: theta needs 4 invertible: p = 2 is not supported\n"),
     # ids: the argv after the expression, then the message
 ], ids=lambda case: "-".join(map(str, case[2:])) if isinstance(case, list) else case)
 def test_coeff_rejects_bad_index_before_any_build(tmp_path, capsys, argv, message):

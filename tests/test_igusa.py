@@ -153,6 +153,31 @@ def test_cusp_forms_vanish_on_singular_indices(genset_small):
             assert T.fourdet > 0, (F.weight, T)
 
 
+def cusp_projection(basis, conditions):
+    """The combination of `basis` whose coefficients at the `conditions`
+    indices are 0, ..., 0, 1, solved exactly by Cramer's rule."""
+    matrix = [[b.coefficient(T) for b in basis] for T in conditions]
+    rhs = [0] * (len(conditions) - 1) + [1]
+    det = det_oracle(matrix)
+    assert det != 0
+    total = None
+    for j, b in enumerate(basis):
+        swapped = [row[:j] + [v] + row[j + 1 :] for row, v in zip(matrix, rhs)]
+        term = b.scale(det_oracle(swapped) / det)
+        total = term if total is None else total + term
+    return total
+
+
+def test_x10_x12_equal_the_cusp_projections(genset):
+    # the construction that the Maass lifts replaced: project out of
+    # Eisenstein products, sharing no code with the Jacobi forms
+    e4, e6, fam = genset.eisenstein[4], genset.eisenstein[6], genset.eisenstein
+    x10 = cusp_projection([e4 * e6, fam[10]], [(0, 0, 0), (1, 1, 1)])
+    x12 = cusp_projection([e4 * e4 * e4, e6 * e6, fam[12]], [(0, 0, 0), (1, 0, 0), (1, 1, 1)])
+    assert x10 == genset.x10
+    assert x12 == genset.x12
+
+
 # ----- the odd generator ----------------------------------------------------
 
 
@@ -187,7 +212,6 @@ def test_generators_have_expected_symmetries(genset_small):
 
 
 def test_integrality(genset):
-    assert integrality_check(genset) == []
     assert integrality_check(genset.generators()) == []
 
 
@@ -205,8 +229,8 @@ def test_reference_table_is_antisymmetric():
 # ----- determinant helper ---------------------------------------------------
 
 
-def det4_oracle(values):
-    """Exact 4x4 determinant by cofactor expansion on plain fractions."""
+def det_oracle(values):
+    """Exact determinant of a square matrix by cofactor expansion on plain fractions."""
 
     def det(rows):
         if len(rows) == 1:
@@ -226,7 +250,7 @@ def test_det4_matches_cofactor_expansion():
         values = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
         rows = [[Expansion(0, 0, {(0, 0, 0): v}) for v in row] for row in values]
         got = _det4(rows).coefficient((0, 0, 0))
-        assert got == det4_oracle(values)
+        assert got == det_oracle(values)
 
 
 def test_build_x35_requires_trace_five():
@@ -303,29 +327,45 @@ def test_save_interrupted_leaves_no_partial_file(tmp_path, genset_small, monkeyp
     assert load_generator_set(5, tmp_path) is None
 
 
-# SHA-256 of every cache file at N = 12: the byte format and every
-# coefficient are pinned, whatever kernels compute them
-CACHE_SHA256_N12 = {
-    "E4": "5e5b32ffbe68cd2cd0eb5e8877c8d3d4d7da0ab3f1841a8b7061a3716780ccc6",
-    "E6": "c5a8704c77b3f4a5289322aa9ebfdc76a256c296c882644083f8ccd09643fa05",
-    "E8": "ee946970bfa2f6631d4d6cb4d9117729bbaf843700b5369d5da59a46ac68c37c",
-    "E10": "75664bb6641975d4877d8d7dd6c0db20956a3ac3c0e66858c7e489f9baaadd88",
-    "E12": "c6fb1a34e66a78d72ef488101f29f73e7e70782a73fc338a311d5a090a234b23",
-    "X4": "5e5b32ffbe68cd2cd0eb5e8877c8d3d4d7da0ab3f1841a8b7061a3716780ccc6",
-    "X6": "c5a8704c77b3f4a5289322aa9ebfdc76a256c296c882644083f8ccd09643fa05",
-    "X10": "cd9e17dd64532f490c4bc2a142f0dfa8a31aa30635ccddb28258318b385cb3e6",
-    "X12": "cb5fe39a874cf77a9356dcc6a676bf365441c03c34a8b58d82a941bce3cefd98",
-    "X35": "d68a69b5c4e3ff182833a17b1df15d4ea25547ddff284347ca52e63539831c80",
+# SHA-256 of every cache file at N = 12 and N = 16: the byte format and
+# every coefficient are pinned, whatever kernels compute them
+CACHE_SHA256 = {
+    12: {
+        "E4": "5e5b32ffbe68cd2cd0eb5e8877c8d3d4d7da0ab3f1841a8b7061a3716780ccc6",
+        "E6": "c5a8704c77b3f4a5289322aa9ebfdc76a256c296c882644083f8ccd09643fa05",
+        "E8": "ee946970bfa2f6631d4d6cb4d9117729bbaf843700b5369d5da59a46ac68c37c",
+        "E10": "75664bb6641975d4877d8d7dd6c0db20956a3ac3c0e66858c7e489f9baaadd88",
+        "E12": "c6fb1a34e66a78d72ef488101f29f73e7e70782a73fc338a311d5a090a234b23",
+        "X4": "5e5b32ffbe68cd2cd0eb5e8877c8d3d4d7da0ab3f1841a8b7061a3716780ccc6",
+        "X6": "c5a8704c77b3f4a5289322aa9ebfdc76a256c296c882644083f8ccd09643fa05",
+        "X10": "cd9e17dd64532f490c4bc2a142f0dfa8a31aa30635ccddb28258318b385cb3e6",
+        "X12": "cb5fe39a874cf77a9356dcc6a676bf365441c03c34a8b58d82a941bce3cefd98",
+        "X35": "d68a69b5c4e3ff182833a17b1df15d4ea25547ddff284347ca52e63539831c80",
+    },
+    16: {
+        "E4": "10d607cf79731294450f3be06cf4f552e252acd7cf563f83ca334b4f696cf6cd",
+        "E6": "70f0cd14a57a7f0627b6e397d748c28dcc3c942279302b231c1783cf94723784",
+        "E8": "d01c51de6cb7e32264b8e04b4eb530db90f634b79fd46634a4f82d4bde6c688b",
+        "E10": "f9297b560aa205c621fbb8b6a950ca80320fdf6a8017119128d0b0c8cd2deed6",
+        "E12": "2a5ab0b21887805dbe984ec04b97eb28eed2b20bae17ca50615fea97e72546fd",
+        "X4": "10d607cf79731294450f3be06cf4f552e252acd7cf563f83ca334b4f696cf6cd",
+        "X6": "70f0cd14a57a7f0627b6e397d748c28dcc3c942279302b231c1783cf94723784",
+        "X10": "b823525d45cdf0ddb7c04ed2cf4d59b00d3ed7965b94cbb9768ead9410b75337",
+        "X12": "eb75e00ffe5faa3cfb85c0ac1e7c9e36345dab0cab7c86c19ad2d4d548476b93",
+        "X35": "983d615084b6e364f2d7fa8b62bacf2de7a4d01fdefe426539d1d1d6cea66e12",
+    },
 }
 
 
-def test_cache_files_at_n12_are_pinned(tmp_path, genset):
-    paths = save_generator_set(genset, tmp_path)
+@pytest.mark.parametrize("bound", sorted(CACHE_SHA256))
+def test_cache_files_are_pinned(tmp_path, genset, bound):
+    gen = genset if bound == genset.trace_bound else build_generator_set(bound)
+    paths = save_generator_set(gen, tmp_path)
     digests = {
         name: hashlib.sha256(path.read_bytes()).hexdigest()
         for name, path in zip(CACHE_NAMES, paths)
     }
-    assert digests == CACHE_SHA256_N12
+    assert digests == CACHE_SHA256[bound]
 
 
 # SHA-256 of the stdout of theta and dump at N = 9, in both domains; the two
