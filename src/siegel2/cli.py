@@ -36,12 +36,16 @@ from .congruence import (
     sturm_bound_odd,
     sturm_even,
     sturm_odd,
+    theta_mod5_insufficient,
     verify_x35_mod23,
     verify_theta_mod5,
+    x35_mod23_insufficient,
 )
-from .expr import eval_expr, parse
-from .igusa import ConstructionError, cache_path, CACHE_NAMES, ensure_generator_set
-from .qexp import TIndex, iter_l2_indices, require_prime, theta_quarter
+from .expr import eval_expr, literals, parse
+from .igusa import (
+    CACHE_NAMES, MIN_BUILD_BOUND, ConstructionError, cache_path, ensure_generator_set,
+)
+from .qexp import Expansion, TIndex, iter_l2_indices, require_prime, theta_quarter
 from .reference import X35_LOW_TRACE, x35_reference_violations
 
 ENV_CACHE_DIR = "SIEGEL2_CACHE_DIR"
@@ -84,11 +88,13 @@ def _generators(cfg: Config):
 
 
 def _parse(args):
-    """The expression's syntax tree, with --prime checked: usage errors
-    surface before any build starts."""
+    """The expression's syntax tree, with --prime and the p-integrality of
+    its literals checked: usage errors surface before any build starts."""
     node = parse(args.expr)
     if args.prime is not None:
         require_prime(args.prime)
+        for value in literals(node):
+            Expansion.constant(value, 0, args.prime)  # the evaluation's ReductionError
     return node
 
 
@@ -143,6 +149,13 @@ def verify_certificate(gen, prime: int = DEFAULT_PRIME) -> Certificate:
 
 def _cmd_verify(args) -> int:
     cfg = _config(args)
+    # an Insufficient certificate depends on the bound alone: no build for it
+    # (a bound no build accepts still fails in the build)
+    if cfg.trace_bound >= MIN_BUILD_BOUND:
+        insufficient = theta_mod5_insufficient if args.prime == 5 else x35_mod23_insufficient
+        cert = insufficient(cfg.trace_bound)
+        if cert is not None:
+            return _print_certificate(cert)
     return _print_certificate(verify_certificate(_generators(cfg), args.prime))
 
 

@@ -54,7 +54,9 @@ __all__ = [
     "sturm_odd",
     "inclusion_check",
     "theta_landing_assumption",
+    "x35_mod23_insufficient",
     "verify_x35_mod23",
+    "theta_mod5_insufficient",
     "verify_theta_mod5",
     "minmat_additivity_test",
 ]
@@ -276,6 +278,21 @@ def theta_landing_assumption(k: int, p: int) -> str:
     )
 
 
+_X35_CLAIM = "a(T; X35) = 0 mod 23 at every index with 4*det(T) not divisible by 23"
+
+
+def x35_mod23_insufficient(trace_bound: int, scan_bound: int | None = None) -> Certificate | None:
+    """The Insufficient certificate of `verify_x35_mod23` when the bounds
+    cannot host its proof region, else None: it depends on the bounds alone."""
+    n = trace_bound if scan_bound is None else scan_bound
+    if trace_bound < 9 or n < 9 or n > trace_bound:
+        return _insufficient(
+            _X35_CLAIM, 23, 35, None, n, "trace bounds cover the proof region",
+            f"need 9 <= scan bound <= built bound {trace_bound}, got {n}",
+        )
+    return None
+
+
 def verify_x35_mod23(gen, scan_bound: int | None = None) -> Certificate:
     """Certify: a(T; X35) = 0 mod 23 whenever 23 does not divide 4*det(T).
 
@@ -283,14 +300,11 @@ def verify_x35_mod23(gen, scan_bound: int | None = None) -> Certificate:
     Runs the theta-image pipeline (trace <= 9 vanishing + odd-weight
     criterion at weight 59) and an independent direct scan to scan_bound.
     """
+    short = x35_mod23_insufficient(gen.trace_bound, scan_bound)
+    if short is not None:
+        return short
     p = 23
     n = gen.trace_bound if scan_bound is None else scan_bound
-    claim = "a(T; X35) = 0 mod 23 at every index with 4*det(T) not divisible by 23"
-    if gen.trace_bound < 9 or n < 9 or n > gen.trace_bound:
-        return _insufficient(
-            claim, p, 35, None, n, "trace bounds cover the proof region",
-            f"need 9 <= scan bound <= built bound {gen.trace_bound}, got {n}",
-        )
 
     checks: list[CheckRecord] = []
     assumptions = [theta_landing_assumption(35, p)]
@@ -351,8 +365,22 @@ def verify_x35_mod23(gen, scan_bound: int | None = None) -> Certificate:
 
     verdict = CERTIFIED if all(c.passed for c in checks) else REFUTED
     return Certificate(
-        claim, p, 35, sub.bound_matrix, n, checks, assumptions, verdict, witness
+        _X35_CLAIM, p, 35, sub.bound_matrix, n, checks, assumptions, verdict, witness
     )
+
+
+_THETA_CLAIM = "theta(X6) = 4*X12 mod 5"
+
+
+def theta_mod5_insufficient(trace_bound: int) -> Certificate | None:
+    """The Insufficient certificate of `verify_theta_mod5` at a trace bound
+    below its comparison region, else None."""
+    if trace_bound < 10:
+        return _insufficient(
+            _THETA_CLAIM, 5, 12, None, None, "comparison region inside the trace bound",
+            f"need trace 10, have {trace_bound}",
+        )
+    return None
 
 
 def verify_theta_mod5(gen) -> Certificate:
@@ -361,13 +389,10 @@ def verify_theta_mod5(gen) -> Certificate:
     Coefficient-wise comparison to trace 10, then the even-weight
     criterion at weight 12 certifies the difference is identically zero.
     """
+    short = theta_mod5_insufficient(gen.trace_bound)
+    if short is not None:
+        return short
     p = 5
-    claim = "theta(X6) = 4*X12 mod 5"
-    if gen.trace_bound < 10:
-        return _insufficient(
-            claim, p, 12, None, None, "comparison region inside the trace bound",
-            f"need trace 10, have {gen.trace_bound}",
-        )
     assumptions = [theta_landing_assumption(6, p)]
     difference = gen.x6.reduce_mod(p).theta() - gen.x12.reduce_mod(p).scale(4)
     region10 = list(iter_l2_indices(10))
@@ -391,7 +416,7 @@ def verify_theta_mod5(gen) -> Certificate:
     )
     verdict = CERTIFIED if all(c.passed for c in checks) else REFUTED
     return Certificate(
-        claim, p, 12, sub.bound_matrix, 10, checks, assumptions, verdict, witness
+        _THETA_CLAIM, p, 12, sub.bound_matrix, 10, checks, assumptions, verdict, witness
     )
 
 

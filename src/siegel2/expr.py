@@ -36,6 +36,7 @@ __all__ = [
     "Mul",
     "Pow",
     "parse",
+    "literals",
     "to_source",
     "eval_expr",
 ]
@@ -237,6 +238,19 @@ class _Parser:
 def parse(src: str):
     """Parse a source string into a weight-annotated syntax tree."""
     return _Parser(src).parse()
+
+
+def literals(node):
+    """The values of the numeric literals of a tree, left to right."""
+    if isinstance(node, Number):
+        yield node.value
+    elif isinstance(node, Neg):
+        yield from literals(node.operand)
+    elif isinstance(node, Pow):
+        yield from literals(node.base)
+    elif isinstance(node, (Add, Sub, Mul)):
+        yield from literals(node.left)
+        yield from literals(node.right)
 
 
 def to_source(node) -> str:

@@ -176,6 +176,48 @@ def theta_quarter(p: int | None):
     return _embed(Fraction(1, 4), p)
 
 
+def _convolve(left, right, bound: int) -> Iterator[tuple[TIndex, object]]:
+    """The convolution kernel of every product: yields (T, sum) for each T
+    of trace <= bound that a term pair reaches, the sum of c1 * c2 over
+    T1 + T2 = T, with c1 = left[T1] (a mapping) and (T2, c2) ranging over
+    the pairs of `right`.
+
+    The sums come as they are: not normalised, zeros kept.  c2 may be any
+    value that multiplies with c1, such as a packed int.
+    """
+    # Pack (m, n, r) into the integer (m*(N+1) + n)*(4N+1) + r + N, so
+    # index addition is one integer addition.  The right factor is packed
+    # without the +N offset: then packed(T1) + right(T2) = packed(T1 + T2).
+    # Every index here has |r| <= trace <= N, so no digit overflows.
+    stride_n, stride_r = bound + 1, 4 * bound + 1
+    buckets: list[list[tuple[int, object]]] = [[] for _ in range(bound + 1)]
+    for (m2, n2, r2), c2 in right:
+        t2 = m2 + n2
+        if t2 <= bound:
+            buckets[t2].append(((m2 * stride_n + n2) * stride_r + r2, c2))
+    # partners[t]: every right term of trace <= t, in trace order
+    partners = []
+    running: list[tuple[int, object]] = []
+    for bucket in buckets:
+        running = running + bucket
+        partners.append(running)
+    out: dict[int, object] = {}
+    get = out.get
+    for (m1, n1, r1), c1 in left.items():
+        t1 = m1 + n1
+        if t1 > bound:
+            continue
+        k1 = (m1 * stride_n + n1) * stride_r + r1 + bound
+        for k2, c2 in partners[bound - t1]:
+            k = k1 + k2
+            prev = get(k)
+            out[k] = c1 * c2 if prev is None else prev + c1 * c2
+    for k, v in out.items():
+        mn, r = divmod(k, stride_r)
+        m, n = divmod(mn, stride_n)
+        yield TIndex(m, n, r - bound), v
+
+
 _AXIS_SLOT = {"11": 0, "12": 2, "22": 1}  # which of (m, n, r) multiplies
 
 
@@ -333,40 +375,11 @@ class Expansion:
             w = self.weight + other.weight
         bound = min(self.trace_bound, other.trace_bound)
         p = self.modulus
-        # Pack (m, n, r) into the integer (m*(N+1) + n)*(4N+1) + r + N, so
-        # index addition is one integer addition.  The right factor is packed
-        # without the +N offset: then packed(T1) + right(T2) = packed(T1 + T2).
-        # Every index here has |r| <= trace <= N, so no digit overflows.
-        stride_n, stride_r = bound + 1, 4 * bound + 1
-        buckets: list[list[tuple[int, object]]] = [[] for _ in range(bound + 1)]
-        for (m2, n2, r2), c2 in other.coeffs.items():
-            t2 = m2 + n2
-            if t2 <= bound:
-                buckets[t2].append(((m2 * stride_n + n2) * stride_r + r2, c2))
-        # partners[t]: every right term of trace <= t, in trace order
-        partners = []
-        running: list[tuple[int, object]] = []
-        for bucket in buckets:
-            running = running + bucket
-            partners.append(running)
-        out: dict[int, object] = {}
-        get = out.get
-        for (m1, n1, r1), c1 in self.coeffs.items():
-            t1 = m1 + n1
-            if t1 > bound:
-                continue
-            k1 = (m1 * stride_n + n1) * stride_r + r1 + bound
-            for k2, c2 in partners[bound - t1]:
-                k = k1 + k2
-                prev = get(k)
-                out[k] = c1 * c2 if prev is None else prev + c1 * c2
         canon = {}
-        for k, v in out.items():
+        for T, v in _convolve(self.coeffs, other.coeffs.items(), bound):
             v = _canon(v, p)
             if v:
-                mn, r = divmod(k, stride_r)
-                m, n = divmod(mn, stride_n)
-                canon[TIndex(m, n, r - bound)] = v
+                canon[T] = v
         return Expansion._raw(w, bound, canon, p)
 
     __rmul__ = __mul__  # reached only with a scalar on the left

@@ -87,6 +87,34 @@ def test_verify_insufficient_at_small_bound(tmp_path, capsys):
     assert "verdict: Insufficient" in out
 
 
+# the certificates at these bounds, as printed by a build at every bound
+INSUFFICIENT_VERIFY = {
+    ("--trace-bound", 8): (
+        "certificate: a(T; X35) = 0 mod 23 at every index with 4*det(T) not divisible by 23\n"
+        "prime: 23\n"
+        "weight: 35\n"
+        "trace-checked: 8\n"
+        "check: trace bounds cover the proof region: FAIL "
+        "[need 9 <= scan bound <= built bound 8, got 8]\n"
+        "verdict: Insufficient\n"
+    ),
+    ("--prime", 5, "--trace-bound", 5): (
+        "certificate: theta(X6) = 4*X12 mod 5\n"
+        "prime: 5\n"
+        "weight: 12\n"
+        "check: comparison region inside the trace bound: FAIL [need trace 10, have 5]\n"
+        "verdict: Insufficient\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(INSUFFICIENT_VERIFY), ids=lambda a: "-".join(map(str, a)))
+def test_insufficient_verify_builds_nothing(tmp_path, capsys, argv):
+    status, out, err = run(capsys, "verify", *argv, "--cache-dir", tmp_path)
+    assert (status, out, err) == (2, INSUFFICIENT_VERIFY[argv], "")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_detects_tampered_cache(cli_cache, tmp_path, capsys, genset):
     # copy the warm cache, then corrupt one X35 coefficient on disk
     import shutil
@@ -156,6 +184,8 @@ def test_coeff_rejects_bad_index(cli_cache, capsys):
     (["sturm", "X4", "--prime", 3], "error: the vanishing criteria need p >= 5; got 3\n"),
     (["coeff", "X4", 1, 0, 0, "--prime", 4], "error: modulus 4 is not prime\n"),
     (["theta", "X4", "--prime", 2], "error: theta needs 4 invertible: p = 2 is not supported\n"),
+    (["coeff", "1/5*X4", 1, 0, 0, "--prime", 5],
+     "error: coefficient 1/5 at index (0, 0, 0) is not 5-integral\n"),
     # ids: the argv after the expression, then the message
 ], ids=lambda case: "-".join(map(str, case[2:])) if isinstance(case, list) else case)
 def test_coeff_rejects_bad_index_before_any_build(tmp_path, capsys, argv, message):

@@ -12,13 +12,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from siegel2.cli import main
 from siegel2.igusa import (
     CACHE_NAMES,
     ConstructionError,
     GeneratorSet,
-    _det4,
+    _pair_moments,
     build_generator_set,
     build_x35,
     cache_path,
@@ -244,13 +246,102 @@ def det_oracle(values):
     return det([list(map(Fraction, row)) for row in values])
 
 
+DET4_LAPLACE_TERMS = (
+    # (top column pair, bottom column pair, sign) along the first two rows
+    ((0, 1), (2, 3), 1),
+    ((0, 2), (1, 3), -1),
+    ((0, 3), (1, 2), 1),
+    ((1, 2), (0, 3), 1),
+    ((1, 3), (0, 2), -1),
+    ((2, 3), (0, 1), 1),
+)
+
+
+def det4_oracle(rows):
+    """The 4x4 determinant of a matrix of expansions by the Laplace
+    expansion along its first two rows: 24 products form the 2x2 minors."""
+
+    def minor(i, j, a, b):
+        return rows[a][i] * rows[b][j] - rows[a][j] * rows[b][i]
+
+    total = None
+    for (i, j), (i2, j2), sign in DET4_LAPLACE_TERMS:
+        term = minor(i, j, 0, 1) * minor(i2, j2, 2, 3)
+        if sign < 0:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
 def test_det4_matches_cofactor_expansion():
     rng = random.Random(4)
     for _ in range(20):
         values = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
         rows = [[Expansion(0, 0, {(0, 0, 0): v}) for v in row] for row in values]
-        got = _det4(rows).coefficient((0, 0, 0))
+        got = det4_oracle(rows).coefficient((0, 0, 0))
         assert got == det_oracle(values)
+
+
+def test_x35_equals_the_determinant_oracle(genset):
+    # the first row weights each generator by its weight, the other three
+    # rows are its partials; normalised at (2, 3, -1)
+    forms = (genset.x4, genset.x6, genset.x10, genset.x12)
+    rows = [[f.scale(f.weight) for f in forms]]
+    rows += [[f.derivative(axis) for f in forms] for axis in ("11", "12", "22")]
+    det = det4_oracle(rows)
+    x35 = det.scale(Fraction(1) / det.coefficient((2, 3, -1))).with_weight(35)
+    assert x35 == genset.x35
+
+
+def naive_moments(F, G):
+    """(S0, Sm, Sr, Sn) of F*G: every pair of terms, index added as triples."""
+    bound = min(F.trace_bound, G.trace_bound)
+    acc = {}
+    for (m1, n1, r1), c1 in F.coeffs.items():
+        for (m2, n2, r2), c2 in G.coeffs.items():
+            T = (m1 + m2, n1 + n2, r1 + r2)
+            if T[0] + T[1] <= bound:
+                s = acc.get(T, (0, 0, 0, 0))
+                c = c1 * c2
+                acc[T] = (s[0] + c, s[1] + c * m2, s[2] + c * r2, s[3] + c * n2)
+    return acc
+
+
+@st.composite
+def integral_operands(draw):
+    """Two integral expansions, each with its own bound (0..8), with
+    coefficients of up to 64 bits of either sign."""
+    top = 2**64 - 1
+    values = st.one_of(st.integers(-top, top), st.sampled_from([top, -top]))
+    operands = []
+    for _ in range(2):
+        bound = draw(st.integers(0, 8))
+        pool = list(iter_l2_indices(bound))
+        support = draw(st.lists(st.sampled_from(pool), max_size=40, unique=True))
+        operands.append(Expansion(None, bound, {T: draw(values) for T in support}))
+    return operands
+
+
+# dense operands of one sign fill every slot to near its width
+@example(operands=[Expansion(None, 8, {T: 2**64 - 1 for T in iter_l2_indices(8)})] * 2)
+@example(operands=[
+    Expansion(None, 8, {T: 2**64 - 1 for T in iter_l2_indices(8)}),
+    Expansion(None, 8, {T: -(2**64 - 1) for T in iter_l2_indices(8)}),
+])
+@given(operands=integral_operands())
+def test_pair_moments_match_naive_moments(operands):
+    F, G = operands
+    got = _pair_moments(F, G, min(F.trace_bound, G.trace_bound))
+    assert got == naive_moments(F, G)
+    assert all(type(T) is TIndex for T in got)
+
+
+def test_build_x35_refuses_non_integral_operands(genset_small):
+    x4, x6, x10, x12 = (genset_small.x4, genset_small.x6, genset_small.x10, genset_small.x12)
+    with pytest.raises(ConstructionError, match="integral rational operands"):
+        build_x35(x4, x6, x10.scale(Fraction(1, 2)), x12)
+    with pytest.raises(ConstructionError, match="integral rational operands"):
+        build_x35(x4, x6, x10, x12.reduce_mod(23))
 
 
 def test_build_x35_requires_trace_five():
