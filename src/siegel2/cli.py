@@ -11,7 +11,10 @@ Subcommands:
   dump     dump an expression in the cache text format
 
 Common flags: --trace-bound (default 12), --cache-dir (default from
-SIEGEL2_CACHE_DIR or ./.siegel2-cache), --format {table,lines}.
+SIEGEL2_CACHE_DIR or ./.siegel2-cache), --format {table,lines}.  `main`
+checks the bound and resolves the cache directory once, before any
+command runs; `sturm` takes the weight the parser infers.
+`scripts/reproduce_mod23.py ARGS` is `main(["verify", *ARGS])`.
 
 Exit status: 0 success/certified, 1 refuted (with witness), 2 usage error
 or insufficient trace bound.
@@ -22,8 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import replace
 
 from .congruence import (
     CERTIFIED,
@@ -61,30 +63,9 @@ USAGE_ERRORS = (ConstructionError, ValueError, OSError)
 _VERDICT_STATUS = {CERTIFIED: 0, REFUTED: 1, INSUFFICIENT: 2}
 
 
-@dataclass(frozen=True)
-class Config:
-    trace_bound: int = DEFAULT_TRACE_BOUND
-    cache_dir: Path = Path(".siegel2-cache")
-    fmt: str = "table"
-
-
 def check_trace_bound(trace_bound: int) -> None:
     if trace_bound > MAX_TRACE_BOUND:
         raise ValueError(f"trace bound {trace_bound} exceeds the maximum {MAX_TRACE_BOUND}")
-
-
-def _config(args) -> Config:
-    check_trace_bound(args.trace_bound)
-    if args.cache_dir is not None:
-        cache_dir = Path(args.cache_dir)
-    else:
-        cache_dir = Path(os.environ.get(ENV_CACHE_DIR, ".siegel2-cache"))
-    return Config(args.trace_bound, cache_dir, args.format)
-
-
-def _generators(cfg: Config):
-    gen, cached = ensure_generator_set(cfg.trace_bound, cfg.cache_dir)
-    return gen
 
 
 def _parse(args):
@@ -98,8 +79,9 @@ def _parse(args):
     return node
 
 
-def _eval(node, args, cfg: Config):
-    return eval_expr(node, _generators(cfg), args.prime)
+def _eval(node, args):
+    gen, _ = ensure_generator_set(args.trace_bound, args.cache_dir)
+    return eval_expr(node, gen, args.prime)
 
 
 def _print_certificate(cert: Certificate) -> int:
@@ -111,16 +93,14 @@ def _print_certificate(cert: Certificate) -> int:
 
 
 def _cmd_build(args) -> int:
-    cfg = _config(args)
-    gen, cached = ensure_generator_set(cfg.trace_bound, cfg.cache_dir)
-    paths = [cache_path(cfg.cache_dir, name, cfg.trace_bound) for name in CACHE_NAMES]
-    print(f"{'cache up to date' if cached else 'built'} (trace bound {cfg.trace_bound})")
-    for p in paths:
-        print(p)
+    _, cached = ensure_generator_set(args.trace_bound, args.cache_dir)
+    print(f"{'cache up to date' if cached else 'built'} (trace bound {args.trace_bound})")
+    for name in CACHE_NAMES:
+        print(cache_path(args.cache_dir, name, args.trace_bound))
     return 0
 
 
-def verify_certificate(gen, prime: int = DEFAULT_PRIME) -> Certificate:
+def verify_certificate(gen, prime: int) -> Certificate:
     """The certificate `verify` prints for a generator set.
 
     prime 5 certifies the theta identity.  prime 23 certifies the X35
@@ -130,7 +110,7 @@ def verify_certificate(gen, prime: int = DEFAULT_PRIME) -> Certificate:
     """
     if prime == 5:
         return verify_theta_mod5(gen)
-    cert = verify_x35_mod23(gen, gen.trace_bound)
+    cert = verify_x35_mod23(gen)
     if cert.verdict == INSUFFICIENT:
         return cert
     name = "X35 matches the reference coefficients at every index of trace <= 9"
@@ -148,31 +128,30 @@ def verify_certificate(gen, prime: int = DEFAULT_PRIME) -> Certificate:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _config(args)
     # an Insufficient certificate depends on the bound alone: no build for it
     # (a bound no build accepts still fails in the build)
-    if cfg.trace_bound >= MIN_BUILD_BOUND:
+    if args.trace_bound >= MIN_BUILD_BOUND:
         insufficient = theta_mod5_insufficient if args.prime == 5 else x35_mod23_insufficient
-        cert = insufficient(cfg.trace_bound)
+        cert = insufficient(args.trace_bound)
         if cert is not None:
             return _print_certificate(cert)
-    return _print_certificate(verify_certificate(_generators(cfg), args.prime))
+    gen, _ = ensure_generator_set(args.trace_bound, args.cache_dir)
+    return _print_certificate(verify_certificate(gen, args.prime))
 
 
 def _cmd_coeff(args) -> int:
-    cfg = _config(args)
     T = TIndex(args.m, args.n, args.r)
     if not T.in_l2():
         print(f"error: index {tuple(T)} is not positive semidefinite", file=sys.stderr)
         return 2
-    if T.trace > cfg.trace_bound:
+    if T.trace > args.trace_bound:
         print(
-            f"error: index {tuple(T)} exceeds the trace bound {cfg.trace_bound}",
+            f"error: index {tuple(T)} exceeds the trace bound {args.trace_bound}",
             file=sys.stderr,
         )
         return 2
-    c = _eval(_parse(args), args, cfg).coefficient(T)
-    if cfg.fmt == "lines":
+    c = _eval(_parse(args), args).coefficient(T)
+    if args.format == "lines":
         print(c)
     else:
         mod = "" if args.prime is None else f" mod {args.prime}"
@@ -181,9 +160,8 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_minmat(args) -> int:
-    cfg = _config(args)
-    res = min_matrix(_eval(_parse(args), args, cfg))
-    if cfg.fmt == "lines":
+    res = min_matrix(_eval(_parse(args), args))
+    if args.format == "lines":
         if res.is_infinity:
             print(f"infinity {res.trace_bound_examined}")
         else:
@@ -194,25 +172,22 @@ def _cmd_minmat(args) -> int:
 
 
 def _cmd_theta(args) -> int:
-    cfg = _config(args)
     node = _parse(args)
     theta_quarter(args.prime)  # p = 2 fails before the build
-    print(_eval(node, args, cfg).theta().to_text(), end="")
+    print(_eval(node, args).theta().to_text(), end="")
     return 0
 
 
 def _cmd_sturm(args) -> int:
-    cfg = _config(args)
     node = _parse(args)
-    k = args.weight if args.weight is not None else node.weight
+    k = node.weight
     criterion, bound = (sturm_odd, sturm_bound_odd) if k % 2 else (sturm_even, sturm_bound_even)
     bound(k, args.prime)  # a weight or prime the criterion refuses fails before the build
-    return _print_certificate(criterion(_eval(node, args, cfg), k, name=args.expr))
+    return _print_certificate(criterion(_eval(node, args), k, name=args.expr))
 
 
 def _cmd_dump(args) -> int:
-    cfg = _config(args)
-    print(_eval(_parse(args), args, cfg).to_text(), end="")
+    print(_eval(_parse(args), args).to_text(), end="")
     return 0
 
 
@@ -278,10 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("expr")
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument(
-        "--weight", type=int, default=None,
-        help="override the inferred weight (required for weightless inputs)",
-    )
     p.set_defaults(func=_cmd_sturm)
 
     p = sub.add_parser("dump", help="dump an expression in the cache text format")
@@ -297,6 +268,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_trace_bound(args.trace_bound)
+        if args.cache_dir is None:
+            args.cache_dir = os.environ.get(ENV_CACHE_DIR, ".siegel2-cache")
         return args.func(args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

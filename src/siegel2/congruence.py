@@ -281,30 +281,29 @@ def theta_landing_assumption(k: int, p: int) -> str:
 _X35_CLAIM = "a(T; X35) = 0 mod 23 at every index with 4*det(T) not divisible by 23"
 
 
-def x35_mod23_insufficient(trace_bound: int, scan_bound: int | None = None) -> Certificate | None:
-    """The Insufficient certificate of `verify_x35_mod23` when the bounds
-    cannot host its proof region, else None: it depends on the bounds alone."""
-    n = trace_bound if scan_bound is None else scan_bound
-    if trace_bound < 9 or n < 9 or n > trace_bound:
+def x35_mod23_insufficient(trace_bound: int) -> Certificate | None:
+    """The Insufficient certificate of `verify_x35_mod23` when the trace
+    bound cannot host its proof region, else None: it depends on the bound alone."""
+    if trace_bound < 9:
         return _insufficient(
-            _X35_CLAIM, 23, 35, None, n, "trace bounds cover the proof region",
-            f"need 9 <= scan bound <= built bound {trace_bound}, got {n}",
+            _X35_CLAIM, 23, 35, None, trace_bound, "trace bounds cover the proof region",
+            f"need 9 <= scan bound <= built bound {trace_bound}, got {trace_bound}",
         )
     return None
 
 
-def verify_x35_mod23(gen, scan_bound: int | None = None) -> Certificate:
+def verify_x35_mod23(gen) -> Certificate:
     """Certify: a(T; X35) = 0 mod 23 whenever 23 does not divide 4*det(T).
 
-    gen: a GeneratorSet with trace_bound >= max(9, scan_bound).
+    gen: a GeneratorSet with trace_bound >= 9.
     Runs the theta-image pipeline (trace <= 9 vanishing + odd-weight
-    criterion at weight 59) and an independent direct scan to scan_bound.
+    criterion at weight 59) and an independent direct scan to the trace bound.
     """
-    short = x35_mod23_insufficient(gen.trace_bound, scan_bound)
+    short = x35_mod23_insufficient(gen.trace_bound)
     if short is not None:
         return short
     p = 23
-    n = gen.trace_bound if scan_bound is None else scan_bound
+    n = gen.trace_bound
 
     checks: list[CheckRecord] = []
     assumptions = [theta_landing_assumption(35, p)]

@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .igusa import ATOM_WEIGHTS
 from .qexp import Expansion
 
 __all__ = [
@@ -40,20 +41,6 @@ __all__ = [
     "to_source",
     "eval_expr",
 ]
-
-ATOM_WEIGHTS = {
-    "X4": 4,
-    "X6": 6,
-    "X10": 10,
-    "X12": 12,
-    "X35": 35,
-    "E4": 4,
-    "E6": 6,
-    "E8": 8,
-    "E10": 10,
-    "E12": 12,
-}
-
 
 class ExprError(ValueError):
     """Parse or grading failure; carries the source position."""

@@ -89,6 +89,8 @@ SUPPORTED_WEIGHTS = (4, 6, 8, 10, 12)
 MIN_BUILD_BOUND = 5
 GENERATOR_NAMES = ("X4", "X6", "X10", "X12", "X35")
 CACHE_NAMES = ("E4", "E6", "E8", "E10", "E12") + GENERATOR_NAMES
+# the atoms of the expression language; each name carries its weight
+ATOM_WEIGHTS = {name: int(name[1:]) for name in CACHE_NAMES}
 
 
 class ConstructionError(RuntimeError):
@@ -387,10 +389,10 @@ def load_generator_set(trace_bound: int, cache_dir) -> GeneratorSet | None:
         exp = Expansion.from_text(path.read_text())
         if exp.trace_bound != trace_bound:
             raise ValueError(f"cache file {path} has inconsistent trace bound")
-        if exp.weight != int(name[1:]) or exp.modulus is not None:
+        if exp.weight != ATOM_WEIGHTS[name] or exp.modulus is not None:
             raise ValueError(
                 f"cache file {path} holds a {exp._domain()} expansion of weight {exp.weight}, "
-                f"expected a rational one of weight {name[1:]}"
+                f"expected a rational one of weight {ATOM_WEIGHTS[name]}"
             )
         forms[name] = exp
     family = {k: forms[f"E{k}"] for k in SUPPORTED_WEIGHTS}

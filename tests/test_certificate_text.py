@@ -84,14 +84,6 @@ PINNED = {
         "assumption: existence: the theta image of a weight-35 form with 23-integral coefficients is congruent mod 23 to some cusp form of weight 59 (used, not constructed)\n"
         "verdict: Certified\n"
     ),
-    "x35_insufficient_scan8": (
-        "certificate: a(T; X35) = 0 mod 23 at every index with 4*det(T) not divisible by 23\n"
-        "prime: 23\n"
-        "weight: 35\n"
-        "trace-checked: 8\n"
-        "check: trace bounds cover the proof region: FAIL [need 9 <= scan bound <= built bound 12, got 8]\n"
-        "verdict: Insufficient\n"
-    ),
     "x35_insufficient_small": (
         "certificate: a(T; X35) = 0 mod 23 at every index with 4*det(T) not divisible by 23\n"
         "prime: 23\n"
@@ -200,7 +192,6 @@ CASES = {
         s.x35.reduce_mod(23).theta(), 59, name="theta(X35) mod 23"
     ),
     "x35_certified": lambda g, s: verify_x35_mod23(g),
-    "x35_insufficient_scan8": lambda g, s: verify_x35_mod23(g, scan_bound=8),
     "x35_insufficient_small": lambda g, s: verify_x35_mod23(s),
     "x35_refuted": lambda g, s: verify_x35_mod23(
         replace(g, x35=_bump(g.x35, TIndex(2, 3, 0)))

@@ -270,6 +270,17 @@ def test_sturm_certifies_scaled_zero(cli_cache, capsys):
     assert "verdict: Certified" in out
 
 
+def test_sturm_refuses_a_weight_flag(tmp_path, capsys):
+    # the criterion must run at the weight the parser infers: at weight 2 it
+    # scanned too small a region and certified X12 mod 5, though a((1,1,1)) = 1
+    with pytest.raises(SystemExit) as exc:
+        main(["sturm", "X12", "--prime", "5", "--weight", "2",
+              "--trace-bound", "9", "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --weight 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dump_round_trips(cli_cache, capsys):
     status, out, err = run(
         capsys, "dump", "X10*X12", "--prime", 23, "--trace-bound", 12,

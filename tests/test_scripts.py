@@ -27,15 +27,24 @@ def test_reproduce_mod23_refutes_a_cache_that_verify_refutes(genset9, tmp_path, 
     assert "\n2 3 -1 1 1\n" in text
     x35_file.write_text(text.replace("\n2 3 -1 1 1\n", "\n2 3 -1 24 1\n"))
 
-    assert main(["verify", "--trace-bound", "9", "--cache-dir", str(tmp_path)]) == 1
-    verify_out = capsys.readouterr().out
-    assert "verdict: Refuted" in verify_out
+    argv = ["--trace-bound", "9", "--cache-dir", str(tmp_path)]
+    assert main(["verify", *argv]) == 1
+    verify_out = capsys.readouterr()
+    assert "verdict: Refuted" in verify_out.out
 
-    script = load_script("reproduce_mod23")
-    assert script.main(["--trace-bound", "9", "--cache-dir", str(tmp_path)]) == 1
-    summary, certificate = capsys.readouterr().out.split("\n\n", 1)
-    assert summary.startswith("# generators at trace bound 9 (cache, ")
-    assert certificate == verify_out
+    assert load_script("reproduce_mod23").main(argv) == 1
+    assert capsys.readouterr() == verify_out
+
+
+def test_reproduce_mod23_answers_insufficient_without_a_build(tmp_path, capsys):
+    argv = ["--trace-bound", "8", "--cache-dir", str(tmp_path)]
+    assert main(["verify", *argv]) == 2
+    verify_out = capsys.readouterr()
+    assert verify_out.out.endswith("verdict: Insufficient\n")
+
+    assert load_script("reproduce_mod23").main(argv) == 2
+    assert capsys.readouterr() == verify_out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_minmat_table_prints_the_five_row_table(tmp_path, capsys):
@@ -69,13 +78,14 @@ def test_scripts_refuse_a_bound_before_any_build(tmp_path, capsys, name, bound, 
 
 @pytest.mark.parametrize("name", ["reproduce_mod23", "minmat_table"])
 def test_scripts_refuse_a_cache_file_whose_header_contradicts_its_name(
-    genset_small, tmp_path, capsys, name
+    genset9, tmp_path, capsys, name
 ):
-    save_generator_set(genset_small, tmp_path)
-    path = cache_path(tmp_path, "X4", 5)
-    path.write_text(genset_small.x4.reduce_mod(23).to_text())
+    # bound 9: below it `verify` answers Insufficient without reading the cache
+    save_generator_set(genset9, tmp_path)
+    path = cache_path(tmp_path, "X4", 9)
+    path.write_text(genset9.x4.reduce_mod(23).to_text())
     script = load_script(name)
-    assert script.main(["--trace-bound", "5", "--cache-dir", str(tmp_path)]) == 2
+    assert script.main(["--trace-bound", "9", "--cache-dir", str(tmp_path)]) == 2
     assert capsys.readouterr() == ("", (
         f"error: cache file {path} holds a mod 23 expansion of weight 4, "
         "expected a rational one of weight 4\n"
