@@ -11,7 +11,8 @@ Subcommands:
   dump     dump an expression in the cache text format
 
 Common flags: --trace-bound (default 12), --cache-dir (default from
-SIEGEL2_CACHE_DIR or ./.siegel2-cache), --format {table,lines}.  `main`
+SIEGEL2_CACHE_DIR or ./.siegel2-cache); `coeff` and `minmat` also take
+--format {table,lines}.  `main`
 checks the bound and resolves the cache directory once, before any
 command runs; `sturm` takes the weight the parser infers.
 `scripts/reproduce_mod23.py ARGS` is `main(["verify", *ARGS])`.
@@ -142,14 +143,9 @@ def _cmd_verify(args) -> int:
 def _cmd_coeff(args) -> int:
     T = TIndex(args.m, args.n, args.r)
     if not T.in_l2():
-        print(f"error: index {tuple(T)} is not positive semidefinite", file=sys.stderr)
-        return 2
+        raise ValueError(f"index {tuple(T)} is not positive semidefinite")
     if T.trace > args.trace_bound:
-        print(
-            f"error: index {tuple(T)} exceeds the trace bound {args.trace_bound}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"index {tuple(T)} exceeds the trace bound {args.trace_bound}")
     c = _eval(_parse(args), args).coefficient(T)
     if args.format == "lines":
         print(c)
@@ -160,14 +156,14 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_minmat(args) -> int:
-    res = min_matrix(_eval(_parse(args), args))
+    F = _eval(_parse(args), args)
+    T = min_matrix(F)
     if args.format == "lines":
-        if res.is_infinity:
-            print(f"infinity {res.trace_bound_examined}")
-        else:
-            print(f"{res.value.m} {res.value.n} {res.value.r}")
+        print(f"infinity {F.trace_bound}" if T is None else f"{T.m} {T.n} {T.r}")
     else:
-        print(f"m_{args.prime}({args.expr}) = {res}")
+        value = (f"infinity (no nonzero residue up to trace {F.trace_bound})"
+                 if T is None else tuple(T))
+        print(f"m_{args.prime}({args.expr}) = {value}")
     return 0
 
 
@@ -211,6 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache-dir", default=None,
             help=f"expansion cache directory (default ${ENV_CACHE_DIR} or ./.siegel2-cache)",
         )
+
+    def format_option(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--format", choices=("table", "lines"), default="table",
             help="human table or bare machine lines",
@@ -230,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeff", help="print a(T) of an expression")
     common(p)
+    format_option(p)
     p.add_argument("expr")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
@@ -239,6 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minmat", help="p-minimum matrix of an expression")
     common(p)
+    format_option(p)
     p.add_argument("expr")
     p.add_argument("--prime", type=int, required=True)
     p.set_defaults(func=_cmd_minmat)

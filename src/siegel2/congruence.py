@@ -4,8 +4,7 @@ certificates.
 
 The p-minimum matrix m_p(F) of an expansion reduced mod p is the least
 index (in the (trace, m, r) order) carrying a nonzero residue, or infinity
-when everything vanishes.  It is additive under multiplication, which the
-`minmat_additivity_test` helper probes empirically within the truncation.
+when everything vanishes; it is additive under multiplication.
 
 Vanishing criteria.  For p >= 5 and even weight k, a form vanishes mod p
 as soon as its coefficients vanish on the finite box 0 <= m, n <= floor(k/10)
@@ -14,8 +13,8 @@ as soon as its coefficients vanish on the finite box 0 <= m, n <= floor(k/10)
 divisible by the weight-35 generator and the criterion tightens to the
 set of indices preceding (t+2, t+3, 2t-1) with t = floor((k-35)/10).
 `sturm_even` and `sturm_odd` run one criterion body: the even one scans
-the box (`_box_region`), the odd one the order set (`_order_region`, which
-`inclusion_check` compares with the box).  Every verifier emits a
+the box (`_box_region`), the odd one the order set (`_order_region`).
+Every verifier emits a
 `Certificate` and never widens its hypotheses silently: an expansion whose
 trace bound cannot host the required region yields the one "Insufficient"
 certificate shape (`_insufficient`), and every unproved existence
@@ -38,13 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .qexp import Expansion, TIndex, iter_l2_indices, order_cmp, order_key
+from .qexp import Expansion, TIndex, iter_l2_indices, order_key
 
 __all__ = [
     "CERTIFIED",
     "REFUTED",
     "INSUFFICIENT",
-    "MinMatrixResult",
     "min_matrix",
     "sturm_bound_even",
     "sturm_bound_odd",
@@ -52,13 +50,11 @@ __all__ = [
     "Certificate",
     "sturm_even",
     "sturm_odd",
-    "inclusion_check",
     "theta_landing_assumption",
     "x35_mod23_insufficient",
     "verify_x35_mod23",
     "theta_mod5_insufficient",
     "verify_theta_mod5",
-    "minmat_additivity_test",
 ]
 
 CERTIFIED = "Certified"
@@ -72,31 +68,12 @@ def _modulus_of(F: Expansion) -> int:
     return F.modulus
 
 
-@dataclass(frozen=True)
-class MinMatrixResult:
-    """m_p of one expansion; value None encodes infinity (zero mod p)."""
-
-    value: TIndex | None
-    prime: int
-    weight: int | None
-    trace_bound_examined: int
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.value is None
-
-    def __str__(self) -> str:
-        if self.value is None:
-            return f"infinity (no nonzero residue up to trace {self.trace_bound_examined})"
-        return f"({self.value.m}, {self.value.n}, {self.value.r})"
-
-
-def min_matrix(F: Expansion) -> MinMatrixResult:
-    """Least index (in the (trace, m, r) order) with a nonzero residue."""
+def min_matrix(F: Expansion) -> TIndex | None:
+    """Least index (in the (trace, m, r) order) with a nonzero residue, or
+    None for infinity: F vanishes mod p up to its trace bound."""
     p = _modulus_of(F)
     support = [T for T, c in F.coeffs.items() if c % p]
-    value = min(support, key=order_key) if support else None
-    return MinMatrixResult(value, p, F.weight, F.trace_bound)
+    return min(support, key=order_key) if support else None
 
 
 def _require_prime_ge5(p: int) -> None:
@@ -237,9 +214,8 @@ def _sturm(F: Expansion, k: int, bound: TIndex, name: str, assumptions) -> Certi
 def sturm_even(F: Expansion, k: int, name: str = "F", assumptions=()) -> Certificate:
     """Certify F == 0 mod p from finitely many vanishing coefficients (even k).
 
-    The hypothesis region is the box 0 <= m, n <= floor(k/10); by
-    `inclusion_check` it lies inside the set of indices up to the bound
-    matrix (t, t, 2t).
+    The hypothesis region is the box 0 <= m, n <= floor(k/10); it lies
+    inside the set of indices up to the bound matrix (t, t, 2t).
     """
     return _sturm(F, k, sturm_bound_even(k, _modulus_of(F)), name, assumptions)
 
@@ -247,27 +223,6 @@ def sturm_even(F: Expansion, k: int, name: str = "F", assumptions=()) -> Certifi
 def sturm_odd(F: Expansion, k: int, name: str = "F", assumptions=()) -> Certificate:
     """Certify F == 0 mod p for odd weight k >= 35 (F divisible by X35)."""
     return _sturm(F, k, sturm_bound_odd(k, _modulus_of(F)), name, assumptions)
-
-
-def inclusion_check(k: int) -> bool:
-    """Exhaustively confirm the even-criterion box sits inside the order set.
-
-    For k >= 20 additionally confirm the containment is proper via the
-    witness (t+1, 0, 0), which precedes the bound matrix but lies outside
-    the box.
-    """
-    if k < 10:
-        raise ValueError("k >= 10 required")
-    t = k // 10
-    bound = TIndex(t, t, 2 * t)
-    box = set(_box_region(t))
-    if not box <= set(_order_region(bound)):
-        return False
-    if k >= 20:
-        w = TIndex(t + 1, 0, 0)
-        if not (order_cmp(w, bound) < 0 and w not in box):
-            return False
-    return True
 
 
 def theta_landing_assumption(k: int, p: int) -> str:
@@ -418,16 +373,3 @@ def verify_theta_mod5(gen) -> Certificate:
         _THETA_CLAIM, p, 12, sub.bound_matrix, 10, checks, assumptions, verdict, witness
     )
 
-
-def minmat_additivity_test(F: Expansion, G: Expansion) -> bool:
-    """Empirically confirm m_p(F*G) = m_p(F) + m_p(G) inside the truncation."""
-    a, b = min_matrix(F), min_matrix(G)
-    if a.value is None or b.value is None:
-        raise ValueError("both factors must be nonzero mod p")
-    total = a.value + b.value
-    bound = min(F.trace_bound, G.trace_bound)
-    if total.trace > bound:
-        raise ValueError(
-            f"insufficient trace bound: the sum index has trace {total.trace}, bound is {bound}"
-        )
-    return min_matrix(F * G).value == total

@@ -38,7 +38,6 @@ __all__ = [
     "Pow",
     "parse",
     "literals",
-    "to_source",
     "eval_expr",
 ]
 
@@ -238,33 +237,6 @@ def literals(node):
     elif isinstance(node, (Add, Sub, Mul)):
         yield from literals(node.left)
         yield from literals(node.right)
-
-
-def to_source(node) -> str:
-    """Minimal-parentheses source form; parses back to an equal tree."""
-
-    def render(n, prec: int) -> str:
-        if isinstance(n, Atom):
-            s, p = n.name, 5
-        elif isinstance(n, Number):
-            v = n.value
-            s = str(v) if isinstance(v, int) else f"{v.numerator}/{v.denominator}"
-            p = 5
-        elif isinstance(n, Neg):
-            s, p = "-" + render(n.operand, 3), 3
-        elif isinstance(n, Add):
-            s, p = render(n.left, 1) + " + " + render(n.right, 2), 1
-        elif isinstance(n, Sub):
-            s, p = render(n.left, 1) + " - " + render(n.right, 2), 1
-        elif isinstance(n, Mul):
-            s, p = render(n.left, 2) + "*" + render(n.right, 3), 2
-        elif isinstance(n, Pow):
-            s, p = render(n.base, 5) + "^" + str(n.exponent), 4
-        else:
-            raise TypeError(f"not an expression node: {n!r}")
-        return f"({s})" if p < prec else s
-
-    return render(node, 0)
 
 
 def eval_expr(node, gen, modulus: int | None = None) -> Expansion:

@@ -376,10 +376,13 @@ def load_generator_set(trace_bound: int, cache_dir) -> GeneratorSet | None:
     """Load a cached build; None when any file is missing.
 
     Each file's header must match its name: the weight in the name
-    (E10 -> 10, X35 -> 35), the rational domain and the trace bound;
-    a mismatch raises ValueError naming the file.  Coefficient values are
-    *not* re-derived or revalidated here, so integrity questions about a
-    cache are answered by the verification pipeline.
+    (E10 -> 10, X35 -> 35), the rational domain and the trace bound.  The
+    Siegel restriction of E4..E12, X4 and X6 must be the genus-1 series:
+    their last line, at (N, 0, 0), is nonzero, so a file cut short fails
+    this.  A mismatch raises ValueError naming the file.  Other
+    coefficients are *not* re-derived here (a cut X10, X12 or X35 file
+    passes), so integrity questions about a cache are answered by the
+    verification pipeline.
     """
     paths = {name: cache_path(cache_dir, name, trace_bound) for name in CACHE_NAMES}
     if not all(p.is_file() for p in paths.values()):
@@ -393,6 +396,12 @@ def load_generator_set(trace_bound: int, cache_dir) -> GeneratorSet | None:
             raise ValueError(
                 f"cache file {path} holds a {exp._domain()} expansion of weight {exp.weight}, "
                 f"expected a rational one of weight {ATOM_WEIGHTS[name]}"
+            )
+        eisenstein_type = name[0] == "E" or name in ("X4", "X6")
+        if eisenstein_type and exp.phi() != genus1_eisenstein(exp.weight, trace_bound):
+            raise ValueError(
+                f"cache file {path} is cut short or damaged: its restriction "
+                f"disagrees with the genus-1 series of weight {exp.weight}"
             )
         forms[name] = exp
     family = {k: forms[f"E{k}"] for k in SUPPORTED_WEIGHTS}

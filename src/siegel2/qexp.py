@@ -44,13 +44,11 @@ from .numtheory import is_prime
 __all__ = [
     "TIndex",
     "order_key",
-    "order_cmp",
     "iter_l2_indices",
     "Expansion",
     "ReductionError",
     "require_prime",
     "theta_quarter",
-    "symmetry_check",
 ]
 
 
@@ -60,7 +58,8 @@ class TIndex(NamedTuple):
     The container itself ranges over all of Lambda_2 (any integers);
     positive semidefiniteness is a separate predicate, `in_l2`.
     Addition/subtraction are component-wise (index addition is what the
-    convolution product and the minimum-matrix calculus use).
+    convolution product and the minimum-matrix calculus use; a plain
+    tuple's `+` would concatenate).
     """
 
     m: int
@@ -83,12 +82,6 @@ class TIndex(NamedTuple):
             raise ValueError("content is undefined at the zero index")
         return gcd(self.m, self.n, self.r)
 
-    @property
-    def rank(self) -> int:
-        if self.fourdet > 0:
-            return 2
-        return 0 if self == (0, 0, 0) else 1
-
     def in_l2(self) -> bool:
         return self.m >= 0 and self.n >= 0 and self.fourdet >= 0
 
@@ -100,21 +93,10 @@ class TIndex(NamedTuple):
         om, on, orr = other
         return TIndex(self.m - om, self.n - on, self.r - orr)
 
-    def __neg__(self):
-        return TIndex(-self.m, -self.n, -self.r)
-
 
 def order_key(t) -> tuple[int, int, int]:
     """Sort key of the (trace, m, r) lexicographic order on index triples."""
     return (t[0] + t[1], t[0], t[2])
-
-
-def order_cmp(t1, t2) -> int:
-    """-1, 0, +1 as t1 precedes, equals, or succeeds t2 in the index order."""
-    k1, k2 = order_key(t1), order_key(t2)
-    if k1 < k2:
-        return -1
-    return 1 if k1 > k2 else 0
 
 
 def iter_l2_indices(trace_bound: int) -> Iterator[TIndex]:
@@ -268,10 +250,6 @@ class Expansion:
         return obj
 
     @classmethod
-    def zero(cls, weight, trace_bound: int, modulus: int | None = None) -> "Expansion":
-        return cls(weight, trace_bound, {}, modulus)
-
-    @classmethod
     def constant(cls, value, trace_bound: int, modulus: int | None = None) -> "Expansion":
         return cls(0, trace_bound, {TIndex(0, 0, 0): value}, modulus)
 
@@ -401,13 +379,6 @@ class Expansion:
             return Expansion.one(self.trace_bound, self.modulus)
         return result
 
-    def truncate(self, trace_bound: int) -> "Expansion":
-        """Restrict to a smaller trace bound (extension would be a lie)."""
-        if trace_bound > self.trace_bound:
-            raise ValueError("cannot extend a truncated expansion")
-        out = {T: c for T, c in self.coeffs.items() if T.m + T.n <= trace_bound}
-        return Expansion._raw(self.weight, trace_bound, out, self.modulus)
-
     def with_weight(self, weight) -> "Expansion":
         """Copy with the weight slot replaced (used after normalizations)."""
         return Expansion._raw(weight, self.trace_bound, dict(self.coeffs), self.modulus)
@@ -521,33 +492,3 @@ class Expansion:
                 coeffs[key] = int(parts[3])
         return cls(weight, trace_bound, coeffs, modulus)
 
-
-def symmetry_check(F: Expansion) -> list[tuple[TIndex, str, object, object]]:
-    """Check unimodular covariance a(T) = det(U)^k a(U^T T U) inside the bound.
-
-    U ranges over the swap (m <-> n), the r-negation (both determinant -1)
-    and the unit shear (determinant +1), which generate GL2(Z).  Image
-    indices outside the trace bound are skipped.  Returns the violations
-    as (index, transform, expected, actual); empty means covariant as far
-    as the bound can see.
-    """
-    if F.weight is None:
-        raise ValueError("symmetry check requires a definite weight")
-    sign = -1 if F.weight % 2 else 1
-    p = F.modulus
-    bound = F.trace_bound
-    out = []
-    for T in iter_l2_indices(bound):
-        m, n, r = T
-        a = F.coefficient(T)
-        for label, T2, s in (
-            ("swap", TIndex(n, m, r), sign),
-            ("negate-r", TIndex(m, n, -r), sign),
-            ("shear", TIndex(m, m + n + r, 2 * m + r), 1),
-        ):
-            if T2.trace > bound:
-                continue
-            expect = _canon(s * F.coefficient(T2), p)
-            if a != expect:
-                out.append((T, label, expect, a))
-    return out

@@ -220,6 +220,25 @@ def test_cache_file_whose_header_contradicts_its_name_is_refused(
     )
 
 
+@pytest.mark.parametrize("name", ["E4", "E6", "E8", "E10", "E12", "X4", "X6"])
+def test_cache_file_cut_short_is_refused(genset9, tmp_path, capsys, name):
+    # every Eisenstein-type file ends with its nonzero (N, 0, 0) line, so a
+    # file cut short changes its Siegel restriction; E10 cut to 150 lines
+    # used to answer a((4,5,2); E10) = 0 with exit 0
+    save_generator_set(genset9, tmp_path)
+    argv = ["coeff", "E10", 4, 5, 2, "--format", "lines", "--trace-bound", 9,
+            "--cache-dir", tmp_path]
+    assert run(capsys, *argv) == (0, "194405271862840758720/43867\n", "")
+    path = cache_path(tmp_path, name, 9)
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) > 150
+    path.write_text("".join(lines[:150]))
+    assert run(capsys, *argv) == (2, "", (
+        f"error: cache file {path} is cut short or damaged: its restriction "
+        f"disagrees with the genus-1 series of weight {name[1:]}\n"
+    ))
+
+
 def test_coeff_rejects_bad_expression(cli_cache, capsys):
     status, out, err = run(
         capsys, "coeff", "X4 + X6", 1, 1, 0, "--cache-dir", cli_cache
@@ -242,6 +261,29 @@ def test_minmat_formats(cli_cache, capsys):
         "--cache-dir", cli_cache,
     )
     assert out.strip() == "2 3 -1"
+
+
+def test_minmat_infinity_formats(cli_cache, capsys):
+    status, out, err = run(capsys, "minmat", "5*X4", "--prime", 5, "--cache-dir", cli_cache)
+    assert (status, out, err) == (
+        0, "m_5(5*X4) = infinity (no nonzero residue up to trace 12)\n", ""
+    )
+    status, out, err = run(
+        capsys, "minmat", "5*X4", "--prime", 5, "--format", "lines", "--cache-dir", cli_cache
+    )
+    assert (status, out, err) == (0, "infinity 12\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build"], ["verify"], ["theta", "X6"], ["sturm", "X12", "--prime", "5"], ["dump", "X4"],
+], ids=lambda argv: argv[0])
+def test_format_is_refused_where_it_has_no_effect(tmp_path, capsys, argv):
+    # only coeff and minmat print in two formats
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "lines", "--trace-bound", "9", "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format lines" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_theta_output_parses(cli_cache, capsys):

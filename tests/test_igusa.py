@@ -32,7 +32,7 @@ from siegel2.igusa import (
     save_generator_set,
     siegel_eisenstein,
 )
-from siegel2.qexp import Expansion, TIndex, iter_l2_indices, symmetry_check
+from siegel2.qexp import Expansion, TIndex, iter_l2_indices
 from siegel2.reference import MIN_MATRIX_REFERENCE, X35_LOW_TRACE, x35_reference_violations
 
 # ----- E8 lattice oracle ----------------------------------------------------
@@ -206,6 +206,50 @@ def test_x35_odd_weight_forced_zeros(genset):
     for T in iter_l2_indices(x35.trace_bound):
         if T[0] == T[1] or T[2] == 0:
             assert x35.coefficient(T) == 0, T
+
+
+def symmetry_check(F: Expansion) -> list[tuple[TIndex, str, object, object]]:
+    """Check unimodular covariance a(T) = det(U)^k a(U^T T U) inside the bound.
+
+    U ranges over the swap (m <-> n), the r-negation (both determinant -1)
+    and the unit shear (determinant +1), which generate GL2(Z).  Image
+    indices outside the trace bound are skipped.  Returns the violations
+    as (index, transform, expected, actual); empty means covariant as far
+    as the bound can see.
+    """
+    if F.weight is None:
+        raise ValueError("symmetry check requires a definite weight")
+    sign = -1 if F.weight % 2 else 1
+    p = F.modulus
+    bound = F.trace_bound
+    out = []
+    for T in iter_l2_indices(bound):
+        m, n, r = T
+        a = F.coefficient(T)
+        for label, T2, s in (
+            ("swap", TIndex(n, m, r), sign),
+            ("negate-r", TIndex(m, n, -r), sign),
+            ("shear", TIndex(m, m + n + r, 2 * m + r), 1),
+        ):
+            if T2.trace > bound:
+                continue
+            expect = s * F.coefficient(T2)
+            if p is not None:
+                expect %= p
+            if a != expect:
+                out.append((T, label, expect, a))
+    return out
+
+
+def test_symmetry_check_flags_violations():
+    # even weight: a((m,n,r)) must equal a((m,n,-r))
+    F = Expansion(4, 2, {(1, 1, 1): 1, (1, 1, -1): 2})
+    bad = symmetry_check(F)
+    assert bad and all(v[0].trace <= 2 for v in bad)
+    G = Expansion(4, 2, {(1, 1, 1): 1, (1, 1, -1): 1})
+    assert symmetry_check(G) == []
+    with pytest.raises(ValueError):
+        symmetry_check(Expansion(None, 2))
 
 
 def test_generators_have_expected_symmetries(genset_small):
