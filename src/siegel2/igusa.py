@@ -51,6 +51,7 @@ top * bot are ordinary expansion products.
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -272,31 +273,39 @@ def build_x35(x4: Expansion, x6: Expansion, x10: Expansion, x12: Expansion) -> E
     return x35
 
 
+def _form_property(name: str) -> property:
+    return property(lambda self: self.forms[name], doc=f"The {name} expansion.")
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
-    """The five ring generators plus the Eisenstein family they came from."""
+    """The five ring generators plus the Eisenstein family they came from.
 
-    x4: Expansion
-    x6: Expansion
-    x10: Expansion
-    x12: Expansion
-    x35: Expansion
-    eisenstein: dict[int, Expansion]
+    `forms` maps each of the ten cache names (E4..E12, X4..X35) to its
+    expansion.  A built set holds a dict.  A set loaded from the cache holds
+    a mapping that reads and checks each file the first time a caller asks
+    for its form, so a command reads only the files of the forms it uses.
+    """
+
+    forms: Mapping[str, Expansion]
     trace_bound: int
 
+    x4 = _form_property("X4")
+    x6 = _form_property("X6")
+    x10 = _form_property("X10")
+    x12 = _form_property("X12")
+    x35 = _form_property("X35")
+
+    @property
+    def eisenstein(self) -> dict[int, Expansion]:
+        return {k: self.forms[f"E{k}"] for k in SUPPORTED_WEIGHTS}
+
     def generators(self) -> dict[str, Expansion]:
-        return {"X4": self.x4, "X6": self.x6, "X10": self.x10, "X12": self.x12, "X35": self.x35}
+        return {name: self.forms[name] for name in GENERATOR_NAMES}
 
     def atom(self, name: str) -> Expansion:
-        """Expansion for an atom name (X4..X35 or E4..E12)."""
-        gens = self.generators()
-        if name in gens:
-            return gens[name]
-        if name.startswith("E") and name[1:].isdigit():
-            k = int(name[1:])
-            if k in self.eisenstein:
-                return self.eisenstein[k]
-        raise KeyError(name)
+        """Expansion for an atom name (X4..X35 or E4..E12); KeyError otherwise."""
+        return self.forms[name]
 
 
 def integrality_check(forms: dict[str, Expansion]) -> list[tuple[str, TIndex, object]]:
@@ -321,7 +330,9 @@ def build_generator_set(trace_bound: int) -> GeneratorSet:
     family = eisenstein_family(trace_bound)
     x10, x12 = build_x10_x12(trace_bound)
     x35 = build_x35(family[4], family[6], x10, x12)
-    gen = GeneratorSet(family[4], family[6], x10, x12, x35, family, trace_bound)
+    forms = {f"E{k}": family[k] for k in SUPPORTED_WEIGHTS}
+    forms |= {"X4": family[4], "X6": family[6], "X10": x10, "X12": x12, "X35": x35}
+    gen = GeneratorSet(forms, trace_bound)
     for name in ("X10", "X12", "X35"):
         bad = _cusp_violation(gen.atom(name))
         if bad is not None:
@@ -359,12 +370,11 @@ def save_generator_set(gen: GeneratorSet, cache_dir) -> list[Path]:
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    forms = {f"E{k}": v for k, v in gen.eisenstein.items()} | gen.generators()
     for name in CACHE_NAMES:
         path = cache_path(cache_dir, name, gen.trace_bound)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(forms[name].to_text())
+            tmp.write_text(gen.atom(name).to_text())
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)  # left over only when a step failed
@@ -372,43 +382,65 @@ def save_generator_set(gen: GeneratorSet, cache_dir) -> list[Path]:
     return paths
 
 
-def load_generator_set(trace_bound: int, cache_dir) -> GeneratorSet | None:
-    """Load a cached build; None when any file is missing.
+def _load_form(name: str, path: Path, trace_bound: int) -> Expansion:
+    """Read one cache file and check it against its name (see
+    `load_generator_set`); a mismatch raises ValueError naming the file."""
+    exp = Expansion.from_text(path.read_text())
+    if exp.trace_bound != trace_bound:
+        raise ValueError(f"cache file {path} has inconsistent trace bound")
+    if exp.weight != ATOM_WEIGHTS[name] or exp.modulus is not None:
+        raise ValueError(
+            f"cache file {path} holds a {exp._domain()} expansion of weight {exp.weight}, "
+            f"expected a rational one of weight {ATOM_WEIGHTS[name]}"
+        )
+    eisenstein_type = name[0] == "E" or name in ("X4", "X6")
+    if eisenstein_type and exp.phi() != genus1_eisenstein(exp.weight, trace_bound):
+        raise ValueError(
+            f"cache file {path} is cut short or damaged: its restriction "
+            f"disagrees with the genus-1 series of weight {exp.weight}"
+        )
+    return exp
 
-    Each file's header must match its name: the weight in the name
-    (E10 -> 10, X35 -> 35), the rational domain and the trace bound.  The
-    Siegel restriction of E4..E12, X4 and X6 must be the genus-1 series:
-    their last line, at (N, 0, 0), is nonzero, so a file cut short fails
-    this.  A mismatch raises ValueError naming the file.  Other
-    coefficients are *not* re-derived here (a cut X10, X12 or X35 file
-    passes), so integrity questions about a cache are answered by the
-    verification pipeline.
+
+class _CacheForms(Mapping):
+    """name -> Expansion over the ten cache files of one bound; each file is
+    read and checked by `_load_form` on its first lookup, then kept."""
+
+    def __init__(self, paths: dict[str, Path], trace_bound: int):
+        self._paths = paths
+        self._trace_bound = trace_bound
+        self._loaded: dict[str, Expansion] = {}
+
+    def __getitem__(self, name: str) -> Expansion:
+        if name not in self._loaded:
+            self._loaded[name] = _load_form(name, self._paths[name], self._trace_bound)
+        return self._loaded[name]
+
+    def __iter__(self):
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+
+def load_generator_set(trace_bound: int, cache_dir) -> GeneratorSet | None:
+    """A cached build; None when any of the ten files is missing.
+
+    No file is read here: each one is read and checked the first time a
+    caller asks for its form (`gen.x35`, `gen.atom(name)`, ...), so a
+    command reads only the files it uses.  Each file's header must match
+    its name: the weight in the name (E10 -> 10, X35 -> 35), the rational
+    domain and the trace bound.  The Siegel restriction of E4..E12, X4 and
+    X6 must be the genus-1 series: their last line, at (N, 0, 0), is
+    nonzero, so a file cut short fails this.  A mismatch raises ValueError
+    naming the file, at that first use.  Other coefficients are *not*
+    re-derived here (a cut X10, X12 or X35 file passes), so integrity
+    questions about a cache are answered by the verification pipeline.
     """
     paths = {name: cache_path(cache_dir, name, trace_bound) for name in CACHE_NAMES}
     if not all(p.is_file() for p in paths.values()):
         return None
-    forms = {}
-    for name, path in paths.items():
-        exp = Expansion.from_text(path.read_text())
-        if exp.trace_bound != trace_bound:
-            raise ValueError(f"cache file {path} has inconsistent trace bound")
-        if exp.weight != ATOM_WEIGHTS[name] or exp.modulus is not None:
-            raise ValueError(
-                f"cache file {path} holds a {exp._domain()} expansion of weight {exp.weight}, "
-                f"expected a rational one of weight {ATOM_WEIGHTS[name]}"
-            )
-        eisenstein_type = name[0] == "E" or name in ("X4", "X6")
-        if eisenstein_type and exp.phi() != genus1_eisenstein(exp.weight, trace_bound):
-            raise ValueError(
-                f"cache file {path} is cut short or damaged: its restriction "
-                f"disagrees with the genus-1 series of weight {exp.weight}"
-            )
-        forms[name] = exp
-    family = {k: forms[f"E{k}"] for k in SUPPORTED_WEIGHTS}
-    return GeneratorSet(
-        forms["X4"], forms["X6"], forms["X10"], forms["X12"], forms["X35"],
-        family, trace_bound,
-    )
+    return GeneratorSet(_CacheForms(paths, trace_bound), trace_bound)
 
 
 def ensure_generator_set(trace_bound: int, cache_dir=None) -> tuple[GeneratorSet, bool]:

@@ -487,6 +487,8 @@ class Expansion:
                 raise ValueError(f"duplicate index {key}")
             if modulus is None:
                 num, den = int(parts[3]), int(parts[4])
+                if den == 0:
+                    raise ValueError(f"bad coefficient line: {ln!r}")
                 coeffs[key] = num if den == 1 else Fraction(num, den)
             else:
                 coeffs[key] = int(parts[3])

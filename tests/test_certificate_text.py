@@ -194,12 +194,12 @@ CASES = {
     "x35_certified": lambda g, s: verify_x35_mod23(g),
     "x35_insufficient_small": lambda g, s: verify_x35_mod23(s),
     "x35_refuted": lambda g, s: verify_x35_mod23(
-        replace(g, x35=_bump(g.x35, TIndex(2, 3, 0)))
+        replace(g, forms={**g.forms, "X35": _bump(g.x35, TIndex(2, 3, 0))})
     ),
     "theta5_certified": lambda g, s: verify_theta_mod5(g),
     "theta5_insufficient": lambda g, s: verify_theta_mod5(s),
     "theta5_refuted": lambda g, s: verify_theta_mod5(
-        replace(g, x12=_bump(g.x12, TIndex(2, 3, 1)))
+        replace(g, forms={**g.forms, "X12": _bump(g.x12, TIndex(2, 3, 1))})
     ),
 }
 

@@ -224,11 +224,15 @@ def test_cache_file_whose_header_contradicts_its_name_is_refused(
 def test_cache_file_cut_short_is_refused(genset9, tmp_path, capsys, name):
     # every Eisenstein-type file ends with its nonzero (N, 0, 0) line, so a
     # file cut short changes its Siegel restriction; E10 cut to 150 lines
-    # used to answer a((4,5,2); E10) = 0 with exit 0
+    # used to answer a((4,5,2); E10) = 0 with exit 0.  A command reads only
+    # the files it uses, so `coeff` asks for the damaged form itself.
     save_generator_set(genset9, tmp_path)
-    argv = ["coeff", "E10", 4, 5, 2, "--format", "lines", "--trace-bound", 9,
+    argv = ["coeff", name, 4, 5, 2, "--format", "lines", "--trace-bound", 9,
             "--cache-dir", tmp_path]
-    assert run(capsys, *argv) == (0, "194405271862840758720/43867\n", "")
+    value = genset9.atom(name).coefficient((4, 5, 2))
+    assert run(capsys, *argv) == (0, f"{value}\n", "")
+    if name == "E10":
+        assert str(value) == "194405271862840758720/43867"
     path = cache_path(tmp_path, name, 9)
     lines = path.read_text().splitlines(keepends=True)
     assert len(lines) > 150
@@ -237,6 +241,67 @@ def test_cache_file_cut_short_is_refused(genset9, tmp_path, capsys, name):
         f"error: cache file {path} is cut short or damaged: its restriction "
         f"disagrees with the genus-1 series of weight {name[1:]}\n"
     ))
+
+
+def _damage(gen, path, name):
+    """Cut an Eisenstein-type file short; give X10, X12 or X35 a mod 23
+    header.  Returns the load error `main` prints for it."""
+    weight = name[1:]
+    if name[0] == "E" or name in ("X4", "X6"):
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:150]))
+        return (f"error: cache file {path} is cut short or damaged: its restriction "
+                f"disagrees with the genus-1 series of weight {weight}\n")
+    path.write_text(gen.atom(name).reduce_mod(23).to_text())
+    return (f"error: cache file {path} holds a mod 23 expansion of weight {weight}, "
+            f"expected a rational one of weight {weight}\n")
+
+
+@pytest.mark.parametrize("name", CACHE_NAMES)
+def test_build_checks_every_cache_file(genset9, tmp_path, capsys, name):
+    # "cache up to date" vouches for all ten files, though a query reads
+    # only the files of the forms it names
+    save_generator_set(genset9, tmp_path)
+    message = _damage(genset9, cache_path(tmp_path, name, 9), name)
+    assert run(capsys, "build", "--trace-bound", 9, "--cache-dir", tmp_path) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv, reads", [
+    (["coeff", "X12", 1, 1, 1], 1),
+    (["verify"], 1),
+    (["verify", "--prime", 5], 2),
+    (["coeff", "X10*X12*X4", 2, 2, -2, "--prime", 23], 3),
+    (["dump", "X4^3 - X6^2"], 2),
+    (["build"], 10),
+], ids=lambda case: " ".join(map(str, case)) if isinstance(case, list) else None)
+def test_each_command_reads_only_the_cache_files_it_uses(
+    cli_cache, capsys, monkeypatch, argv, reads
+):
+    # trace bound 12: below 10, `verify --prime 5` answers Insufficient
+    # without reading any file
+    from_text = Expansion.from_text
+    texts = []
+
+    def counting(text):
+        texts.append(text)
+        return from_text(text)
+
+    monkeypatch.setattr(Expansion, "from_text", staticmethod(counting))
+    status, _, err = run(capsys, *argv, "--cache-dir", cli_cache)
+    assert (status, err) == (0, "")
+    assert len(texts) == reads
+
+
+def test_zero_denominator_in_a_cache_file_is_refused(genset9, tmp_path, capsys):
+    # a zero denominator used to end in a ZeroDivisionError traceback with
+    # exit status 1, the status of a refutation
+    save_generator_set(genset9, tmp_path)
+    path = cache_path(tmp_path, "X35", 9)
+    text = path.read_text()
+    assert "\n2 3 1 -1 1\n" in text
+    path.write_text(text.replace("\n2 3 1 -1 1\n", "\n2 3 1 -1 0\n"))
+    assert run(capsys, "coeff", "X35", 2, 3, -1, "--trace-bound", 9, "--cache-dir", tmp_path) == (
+        2, "", "error: bad coefficient line: '2 3 1 -1 0'\n"
+    )
 
 
 def test_coeff_rejects_bad_expression(cli_cache, capsys):

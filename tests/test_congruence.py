@@ -177,7 +177,8 @@ def test_x35_mod23_insufficient(genset_small):
 def test_x35_mod23_refutes_faulty_input(genset):
     coeffs = dict(genset.x35.coeffs)
     coeffs[TIndex(2, 3, 0)] = 1  # 4*det = 24, not divisible by 23
-    bad = replace(genset, x35=Expansion(35, genset.trace_bound, coeffs))
+    x35 = Expansion(35, genset.trace_bound, coeffs)
+    bad = replace(genset, forms={**genset.forms, "X35": x35})
     cert = verify_x35_mod23(bad)
     assert cert.verdict == REFUTED
     assert cert.witness == TIndex(2, 3, 0)

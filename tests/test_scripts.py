@@ -76,17 +76,23 @@ def test_scripts_refuse_a_bound_before_any_build(tmp_path, capsys, name, bound, 
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("name", ["reproduce_mod23", "minmat_table"])
+# the file each script's refusal is tested on: one that its command reads
+# (`verify` reads X35 alone; the minimum table reads every generator)
+DAMAGED = {"reproduce_mod23": "X35", "minmat_table": "X4"}
+
+
+@pytest.mark.parametrize("name", list(DAMAGED))
 def test_scripts_refuse_a_cache_file_whose_header_contradicts_its_name(
     genset9, tmp_path, capsys, name
 ):
     # bound 9: below it `verify` answers Insufficient without reading the cache
     save_generator_set(genset9, tmp_path)
-    path = cache_path(tmp_path, "X4", 9)
-    path.write_text(genset9.x4.reduce_mod(23).to_text())
+    atom = DAMAGED[name]
+    path = cache_path(tmp_path, atom, 9)
+    path.write_text(genset9.atom(atom).reduce_mod(23).to_text())
     script = load_script(name)
     assert script.main(["--trace-bound", "9", "--cache-dir", str(tmp_path)]) == 2
     assert capsys.readouterr() == ("", (
-        f"error: cache file {path} holds a mod 23 expansion of weight 4, "
-        "expected a rational one of weight 4\n"
+        f"error: cache file {path} holds a mod 23 expansion of weight {atom[1:]}, "
+        f"expected a rational one of weight {atom[1:]}\n"
     ))
