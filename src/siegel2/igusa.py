@@ -31,21 +31,9 @@ derivative transformation law cancel, so the determinant is a cusp form
 of weight 4+6+10+12+3 = 35.  All five generators have integer
 coefficients after normalization, which is enforced.
 
-The determinant is expanded along its first two rows, and each 2x2 minor
-is a bracket of one product X_i X_j (i < j, weights w_i, w_j).  At a target
-T = (m, n, r), with a_i at T1 and a_j at T2 = (m2, n2, r2), T1 + T2 = T,
-take the four moments of that product
-
-    S0 = sum a_i a_j,  Sm = sum a_i a_j m2,  Sr = sum a_i a_j r2,  Sn = sum a_i a_j n2;
-
-since m1 = m - m2, r1 = r - r2 and n1 = n - n2, the minor of the weighted
-row and the m-partials is top(i,j) = (w_i + w_j) Sm - w_j m S0, and the
-minor of the r- and n-partials is bot(i,j) = r Sn - n Sr.  One pair pass
-per pair gives all four moments: every operand is integral, so each right
-term c2 is packed into the one int c2 + (c2 m2 << K) + (c2 r2 << 2K) +
-(c2 n2 << 3K), with K wide enough for any moment sum, and every term pair
-costs one multiply-add in the shared convolution kernel.  The six products
-top * bot are ordinary expansion products.
+The determinant is the Laplace expansion along its first two rows: the
+signed sum of six products of a 2x2 minor of the first two rows and the
+complementary minor of the last two, all plain `Expansion` arithmetic.
 """
 
 from __future__ import annotations
@@ -54,12 +42,11 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import isqrt
 from pathlib import Path
 
 from .numtheory import bernoulli, cohen_h, divisor_sigma, divisors
-from .qexp import Expansion, TIndex, _convolve, iter_l2_indices
+from .qexp import Expansion, TIndex, iter_l2_indices
 
 __all__ = [
     "ConstructionError",
@@ -201,76 +188,30 @@ _DET4_TERMS = (
 )
 
 
-def _pair_moments(f: Expansion, g: Expansion, bound: int) -> dict[TIndex, tuple]:
-    """The four moments (S0, Sm, Sr, Sn) of the product f*g at each index
-    T of trace <= bound that it reaches: the sums of f(T1) g(T2) times 1,
-    m2, r2 and n2 over T1 + T2 = T with T2 = (m2, n2, r2).
-
-    Integral operands only: the four moments of each right term are packed
-    into one int of four K-bit slots, so the shared convolution kernel
-    makes one multiply-add per term pair, and the slots are unpacked with
-    signed borrow.  A sum left above the fourth slot raises.
-    """
-    left, right = f.coeffs, g.coeffs
-    if not left or not right:
-        return {}
-    # every |moment| < 2^(K-1): at most min(#left, #right) term pairs meet
-    # at one target, each |c1 c2| times a factor below 2^bound.bit_length()
-    # (1, or m2, |r2|, n2 <= bound); the last bit carries the sign
-    K = (
-        max(abs(c).bit_length() for c in left.values())
-        + max(abs(c).bit_length() for c in right.values())
-        + bound.bit_length()
-        + min(len(left), len(right)).bit_length()
-        + 1
-    )
-    packed = [
-        (T, c + (c * T.m << K) + (c * T.r << 2 * K) + (c * T.n << 3 * K))
-        for T, c in right.items()
-    ]
-    half, mask = 1 << (K - 1), (1 << K) - 1
-    out = {}
-    for T, x in _convolve(left, packed, bound):
-        slots = []
-        for _ in range(4):
-            s = ((x + half) & mask) - half
-            slots.append(s)
-            x = (x - s) >> K
-        if x:
-            raise ArithmeticError(f"moment sum at {tuple(T)} overflows its slot")
-        out[T] = tuple(slots)
-    return out
-
-
 def build_x35(x4: Expansion, x6: Expansion, x10: Expansion, x12: Expansion) -> Expansion:
     """The odd generator: normalized determinant of the four even generators
-    and their normalized partials (weight 35), from the pair brackets of
+    and their normalized partials (weight 35), by the Laplace expansion of
     the module docstring."""
     forms = (x4, x6, x10, x12)
     bound = min(f.trace_bound for f in forms)
     if bound < MIN_BUILD_BOUND:
         raise ConstructionError("normalization index (2,3,-1) has trace 5: need bound >= 5")
-    if any(f.modulus is not None or any(type(c) is not int for c in f.coeffs.values())
-           for f in forms):
-        raise ConstructionError("X35 needs integral rational operands")
-    top, bot = {}, {}
-    for i, j in combinations(range(4), 2):
-        wi, wj = forms[i].weight, forms[j].weight
-        top[i, j], bot[i, j] = {}, {}
-        for T, (s0, sm, sr, sn) in _pair_moments(forms[i], forms[j], bound).items():
-            top[i, j][T] = (wi + wj) * sm - wj * T.m * s0
-            bot[i, j][T] = T.r * sn - T.n * sr
+    rows = [[f.scale(f.weight) for f in forms]]
+    rows += [[f.derivative(axis) for f in forms] for axis in ("11", "12", "22")]
+
+    def minor(i, j, a):
+        return rows[a][i] * rows[a + 1][j] - rows[a][j] * rows[a + 1][i]
+
     det = None
-    for tp, bp, sign in _DET4_TERMS:
-        term = Expansion(None, bound, top[tp]) * Expansion(None, bound, bot[bp])
+    for (i, j), (i2, j2), sign in _DET4_TERMS:
+        term = minor(i, j, 0) * minor(i2, j2, 2)
         if sign < 0:
             term = -term
         det = term if det is None else det + term
     pivot = det.coefficient(TIndex(2, 3, -1))
     if pivot == 0:
         raise ConstructionError("determinant vanishes at the normalization index (2,3,-1)")
-    x35 = det.scale(Fraction(1) / pivot).with_weight(35)
-    return x35
+    return det.scale(Fraction(1) / pivot).with_weight(35)
 
 
 def _form_property(name: str) -> property:

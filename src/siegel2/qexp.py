@@ -23,6 +23,15 @@ Every operation computes with plain `+` and `*` in either domain and hands
 each result to one normaliser, `_canon`; `_embed` turns a rational scalar
 into a coefficient of the domain.
 
+Products use one kernel, Kronecker substitution on the r axis (D. Harvey,
+"Faster polynomial multiplication via multipoint Kronecker substitution",
+J. Symbolic Comput. 44, 2009).  Each (m, n) block of a factor becomes one
+int, with a(m, n, r) in the width-bit slot r + R, R = isqrt(4mn).  A block
+pair costs one big-int multiply, shifted by width * (R - R1 - R2) >= 0 into
+its target block, and each target block is unpacked once with signed
+borrow.  Rational factors are first multiplied by the lcm of their
+denominators, and the product is divided back.
+
 Indices are ordered lexicographically by (trace, m, r).  `order_key` is
 the sort key realizing this total order on index triples (which need not
 be positive semidefinite: the order lives on all of Lambda_2), and every
@@ -36,7 +45,7 @@ distinct known weights is refused; `None` absorbs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterator, NamedTuple
 
 from .numtheory import is_prime
@@ -158,46 +167,62 @@ def theta_quarter(p: int | None):
     return _embed(Fraction(1, 4), p)
 
 
-def _convolve(left, right, bound: int) -> Iterator[tuple[TIndex, object]]:
-    """The convolution kernel of every product: yields (T, sum) for each T
-    of trace <= bound that a term pair reaches, the sum of c1 * c2 over
-    T1 + T2 = T, with c1 = left[T1] (a mapping) and (T2, c2) ranging over
-    the pairs of `right`.
+def _integral(coeffs) -> tuple[dict, int]:
+    """(ints, d): the coefficients times the lcm d of their denominators."""
+    d = 1
+    for c in coeffs.values():
+        if type(c) is not int:
+            d = lcm(d, c.denominator)
+    if d == 1:
+        return coeffs, 1
+    return {T: c.numerator * (d // c.denominator) for T, c in coeffs.items()}, d
 
-    The sums come as they are: not normalised, zeros kept.  c2 may be any
-    value that multiplies with c1, such as a packed int.
-    """
-    # Pack (m, n, r) into the integer (m*(N+1) + n)*(4N+1) + r + N, so
-    # index addition is one integer addition.  The right factor is packed
-    # without the +N offset: then packed(T1) + right(T2) = packed(T1 + T2).
-    # Every index here has |r| <= trace <= N, so no digit overflows.
-    stride_n, stride_r = bound + 1, 4 * bound + 1
-    buckets: list[list[tuple[int, object]]] = [[] for _ in range(bound + 1)]
-    for (m2, n2, r2), c2 in right:
-        t2 = m2 + n2
-        if t2 <= bound:
-            buckets[t2].append(((m2 * stride_n + n2) * stride_r + r2, c2))
-    # partners[t]: every right term of trace <= t, in trace order
-    partners = []
-    running: list[tuple[int, object]] = []
-    for bucket in buckets:
-        running = running + bucket
-        partners.append(running)
-    out: dict[int, object] = {}
-    get = out.get
-    for (m1, n1, r1), c1 in left.items():
-        t1 = m1 + n1
-        if t1 > bound:
-            continue
-        k1 = (m1 * stride_n + n1) * stride_r + r1 + bound
-        for k2, c2 in partners[bound - t1]:
-            k = k1 + k2
-            prev = get(k)
-            out[k] = c1 * c2 if prev is None else prev + c1 * c2
-    for k, v in out.items():
-        mn, r = divmod(k, stride_r)
-        m, n = divmod(mn, stride_n)
-        yield TIndex(m, n, r - bound), v
+
+def _pack(coeffs, bound: int, width: int, radius) -> dict[tuple[int, int], int]:
+    """One int per (m, n) block of trace <= bound, with a(m, n, r) in the
+    width-bit slot r + radius[m][n]."""
+    blocks: dict[tuple[int, int], int] = {}
+    for (m, n, r), c in coeffs.items():
+        if m + n <= bound:
+            blocks[m, n] = blocks.get((m, n), 0) + (c << width * (r + radius[m][n]))
+    return blocks
+
+
+def _product(left, right, bound: int, p: int | None) -> dict[TIndex, object]:
+    """The product kernel: the canonical nonzero coefficients at every index
+    of trace <= bound of the product of the coefficient dicts `left` and
+    `right` (see the module docstring)."""
+    if not left or not right:
+        return {}
+    (left, d1), (right, d2) = _integral(left), _integral(right)
+    # every slot sum is below 2^(width-1) in size: at most min(#left, #right)
+    # term pairs meet at one index; the last bit carries the sign
+    width = sum(max(map(abs, c.values())).bit_length() for c in (left, right))
+    width += min(len(left), len(right)).bit_length() + 1
+    radius = [[isqrt(4 * m * n) for n in range(bound + 1 - m)] for m in range(bound + 1)]
+    packed = _pack(right, bound, width, radius).items()
+    right_blocks = sorted((m + n, m, n, radius[m][n], x) for (m, n), x in packed)
+    acc: dict[tuple[int, int], int] = {}
+    for (m1, n1), x1 in _pack(left, bound, width, radius).items():
+        room, r1 = bound - m1 - n1, radius[m1][n1]
+        for t2, m2, n2, r2, x2 in right_blocks:
+            if t2 > room:
+                break
+            m, n = m1 + m2, n1 + n2
+            # the shift is >= 0: isqrt(4mn) is superadditive (Cauchy-Schwarz)
+            acc[m, n] = acc.get((m, n), 0) + (x1 * x2 << width * (radius[m][n] - r1 - r2))
+    d, half, mask = d1 * d2, 1 << (width - 1), (1 << width) - 1
+    out = {}
+    for (m, n), x in acc.items():
+        r = -radius[m][n]
+        while x:
+            x += half  # signed borrow: each slot value lies in [-half, half)
+            s = (x & mask) - half
+            x >>= width
+            if s and (v := _canon(s if d == 1 else Fraction(s, d), p)):
+                out[TIndex(m, n, r)] = v
+            r += 1
+    return out
 
 
 _AXIS_SLOT = {"11": 0, "12": 2, "22": 1}  # which of (m, n, r) multiplies
@@ -353,12 +378,7 @@ class Expansion:
             w = self.weight + other.weight
         bound = min(self.trace_bound, other.trace_bound)
         p = self.modulus
-        canon = {}
-        for T, v in _convolve(self.coeffs, other.coeffs.items(), bound):
-            v = _canon(v, p)
-            if v:
-                canon[T] = v
-        return Expansion._raw(w, bound, canon, p)
+        return Expansion._raw(w, bound, _product(self.coeffs, other.coeffs, bound, p), p)
 
     __rmul__ = __mul__  # reached only with a scalar on the left
 

@@ -12,15 +12,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from siegel2.cli import main
 from siegel2.igusa import (
     CACHE_NAMES,
     ConstructionError,
     GeneratorSet,
-    _pair_moments,
     build_generator_set,
     build_x35,
     cache_path,
@@ -290,6 +287,37 @@ def det_oracle(values):
     return det([list(map(Fraction, row)) for row in values])
 
 
+def reference_product(F, G):
+    """F * G by a bucketed convolution over packed indices, sharing no
+    product code with `Expansion.__mul__`."""
+    # (m, n, r) packs into the integer (m*(N+1) + n)*(4N+1) + r + N, so index
+    # addition is one integer addition; the right factor is packed without
+    # the +N offset.  Every index here has |r| <= trace <= N.
+    bound = min(F.trace_bound, G.trace_bound)
+    stride_n, stride_r = bound + 1, 4 * bound + 1
+    buckets = [[] for _ in range(bound + 1)]
+    for (m2, n2, r2), c2 in G.coeffs.items():
+        if m2 + n2 <= bound:
+            buckets[m2 + n2].append(((m2 * stride_n + n2) * stride_r + r2, c2))
+    # partners[t]: every right term of trace <= t
+    partners, running = [], []
+    for bucket in buckets:
+        running = running + bucket
+        partners.append(running)
+    out = {}
+    for (m1, n1, r1), c1 in F.coeffs.items():
+        if m1 + n1 <= bound:
+            k1 = (m1 * stride_n + n1) * stride_r + r1 + bound
+            for k2, c2 in partners[bound - m1 - n1]:
+                out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    coeffs = {}
+    for k, v in out.items():
+        mn, r = divmod(k, stride_r)
+        m, n = divmod(mn, stride_n)
+        coeffs[m, n, r - bound] = v
+    return Expansion(None, bound, coeffs, F.modulus)
+
+
 DET4_LAPLACE_TERMS = (
     # (top column pair, bottom column pair, sign) along the first two rows
     ((0, 1), (2, 3), 1),
@@ -303,14 +331,15 @@ DET4_LAPLACE_TERMS = (
 
 def det4_oracle(rows):
     """The 4x4 determinant of a matrix of expansions by the Laplace
-    expansion along its first two rows: 24 products form the 2x2 minors."""
+    expansion along its first two rows: 24 reference products form the
+    2x2 minors."""
 
     def minor(i, j, a, b):
-        return rows[a][i] * rows[b][j] - rows[a][j] * rows[b][i]
+        return reference_product(rows[a][i], rows[b][j]) - reference_product(rows[a][j], rows[b][i])
 
     total = None
     for (i, j), (i2, j2), sign in DET4_LAPLACE_TERMS:
-        term = minor(i, j, 0, 1) * minor(i2, j2, 2, 3)
+        term = reference_product(minor(i, j, 0, 1), minor(i2, j2, 2, 3))
         if sign < 0:
             term = -term
         total = term if total is None else total + term
@@ -337,55 +366,14 @@ def test_x35_equals_the_determinant_oracle(genset):
     assert x35 == genset.x35
 
 
-def naive_moments(F, G):
-    """(S0, Sm, Sr, Sn) of F*G: every pair of terms, index added as triples."""
-    bound = min(F.trace_bound, G.trace_bound)
-    acc = {}
-    for (m1, n1, r1), c1 in F.coeffs.items():
-        for (m2, n2, r2), c2 in G.coeffs.items():
-            T = (m1 + m2, n1 + n2, r1 + r2)
-            if T[0] + T[1] <= bound:
-                s = acc.get(T, (0, 0, 0, 0))
-                c = c1 * c2
-                acc[T] = (s[0] + c, s[1] + c * m2, s[2] + c * r2, s[3] + c * n2)
-    return acc
-
-
-@st.composite
-def integral_operands(draw):
-    """Two integral expansions, each with its own bound (0..8), with
-    coefficients of up to 64 bits of either sign."""
-    top = 2**64 - 1
-    values = st.one_of(st.integers(-top, top), st.sampled_from([top, -top]))
-    operands = []
-    for _ in range(2):
-        bound = draw(st.integers(0, 8))
-        pool = list(iter_l2_indices(bound))
-        support = draw(st.lists(st.sampled_from(pool), max_size=40, unique=True))
-        operands.append(Expansion(None, bound, {T: draw(values) for T in support}))
-    return operands
-
-
-# dense operands of one sign fill every slot to near its width
-@example(operands=[Expansion(None, 8, {T: 2**64 - 1 for T in iter_l2_indices(8)})] * 2)
-@example(operands=[
-    Expansion(None, 8, {T: 2**64 - 1 for T in iter_l2_indices(8)}),
-    Expansion(None, 8, {T: -(2**64 - 1) for T in iter_l2_indices(8)}),
-])
-@given(operands=integral_operands())
-def test_pair_moments_match_naive_moments(operands):
-    F, G = operands
-    got = _pair_moments(F, G, min(F.trace_bound, G.trace_bound))
-    assert got == naive_moments(F, G)
-    assert all(type(T) is TIndex for T in got)
-
-
-def test_build_x35_refuses_non_integral_operands(genset_small):
-    x4, x6, x10, x12 = (genset_small.x4, genset_small.x6, genset_small.x10, genset_small.x12)
-    with pytest.raises(ConstructionError, match="integral rational operands"):
-        build_x35(x4, x6, x10.scale(Fraction(1, 2)), x12)
-    with pytest.raises(ConstructionError, match="integral rational operands"):
-        build_x35(x4, x6, x10, x12.reduce_mod(23))
+def test_build_x35_takes_rational_and_mod_p_operands(genset9):
+    # the determinant is linear in each column, so the normalization
+    # cancels a scaled operand, and reduction mod p commutes with it
+    x4, x6, x10, x12 = (genset9.x4, genset9.x6, genset9.x10, genset9.x12)
+    assert build_x35(x4, x6, x10.scale(Fraction(1, 2)), x12) == genset9.x35
+    for p in (23, 7):
+        reduced = [f.reduce_mod(p) for f in (x4, x6, x10, x12)]
+        assert build_x35(*reduced) == genset9.x35.reduce_mod(p)
 
 
 def test_build_x35_requires_trace_five():

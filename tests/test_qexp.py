@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from siegel2.qexp import (
@@ -277,6 +277,22 @@ def naive_product(F, G):
     return {T: c for T, c in acc.items() if c}
 
 
+def dense(value, modulus=None):
+    """Every index to trace 8 with the coefficient value(T)."""
+    return Expansion(None, 8, {T: value(T) for T in iter_l2_indices(8)}, modulus)
+
+
+TOP = 2**64 - 1
+
+
+# dense operands fill every slot of the block kernel to near its width
+@example(operands=[dense(lambda T: TOP)] * 2)
+@example(operands=[dense(lambda T: TOP), dense(lambda T: -TOP)])
+@example(operands=[dense(lambda T: 22, 23)] * 2)
+@example(operands=[
+    dense(lambda T: Fraction(TOP, 10**9 + 7) if T.r % 2 else TOP),
+    dense(lambda T: Fraction(-TOP, 998244353)),
+])
 @given(operands=mul_operands())
 def test_mul_matches_naive_convolution(operands):
     F, G = operands
