@@ -19,6 +19,8 @@ Conventions:
       B_{n,chi} = sum_j C(n, j) B_j q^(j-1) S_{n-j},   S_k = sum_{a=1}^{q} chi(a) a^k,
 
   so the only fractions are the Bernoulli numbers B_j and the factor 1/q.
+  The character table of each D and each S_k are computed once per process
+  and shared by every weight.
 * H(r, 0) = zeta(1-2r).  For N > 0 write (-1)^r N = D f^2 with D
   fundamental; then
 
@@ -36,7 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb
+from itertools import compress, repeat
+from math import comb, lcm
 
 __all__ = [
     "bernoulli",
@@ -199,29 +202,39 @@ class QuadCharacter:
         return kronecker(self.discriminant, m)
 
 
+@cache
+def _character_table(disc: int) -> tuple[bytes, bytes]:
+    """Masks over a = 1..|D| of chi_D(a) = 1 and of chi_D(a) = -1: one table
+    per discriminant, shared by every B_{n,chi} of that character."""
+    values = [kronecker(disc, a) for a in range(1, abs(disc) + 1)]
+    return bytes(v == 1 for v in values), bytes(v == -1 for v in values)
+
+
+@cache
+def _power_sum(disc: int, k: int) -> int:
+    """S_k = sum_{a=1}^{|D|} chi_D(a) a^k (module docstring)."""
+    plus, minus = (sum(map(pow, compress(range(1, abs(disc) + 1), mask), repeat(k)))
+                   for mask in _character_table(disc))
+    return plus - minus
+
+
 def gen_bernoulli(n: int, chi: QuadCharacter) -> Fraction:
     """Generalized Bernoulli number B_{n,chi} for a quadratic character.
 
     B_{n,chi} = sum_j C(n, j) B_j q^(j-1) S_{n-j} with q = |D| and the
-    integer power sums S_k = sum_{a=1}^{q} chi(a) a^k (module docstring).
+    integer power sums S_k = sum_{a=1}^{q} chi(a) a^k (module docstring),
+    each computed once per (D, k).
     """
     if n < 1:
         raise ValueError("generalized Bernoulli index must be >= 1")
-    q = chi.modulus
-    nonzero = [(a, ca) for a in range(1, q + 1) if (ca := chi(a))]
-    sums = [0] * (n + 1)  # sums[k] = S_k
-    for a, ca in nonzero:
-        power = ca
-        for k in range(n + 1):
-            sums[k] += power
-            power *= a
-    # q * B_{n,chi}: every term is then integral except for B_j
-    total = Fraction(0)
-    for j in range(n + 1):
-        bj = bernoulli(j)
-        if bj:
-            total += comb(n, j) * q**j * sums[n - j] * bj
-    return total / q
+    q, disc = chi.modulus, chi.discriminant
+    # q * B_{n,chi} is an integer combination of the B_j: sum it over their
+    # common denominator and divide once
+    terms = [(bj, comb(n, j) * q**j * _power_sum(disc, n - j))
+             for j in range(n + 1) if (bj := bernoulli(j))]
+    den = lcm(*(bj.denominator for bj, _ in terms))
+    num = sum(bj.numerator * (den // bj.denominator) * c for bj, c in terms)
+    return Fraction(num, den * q)
 
 
 def fundamental_decomposition(r_parity: int, n: int) -> tuple[int, int]:

@@ -25,12 +25,20 @@ into a coefficient of the domain.
 
 Products use one kernel, Kronecker substitution on the r axis (D. Harvey,
 "Faster polynomial multiplication via multipoint Kronecker substitution",
-J. Symbolic Comput. 44, 2009).  Each (m, n) block of a factor becomes one
-int, with a(m, n, r) in the width-bit slot r + R, R = isqrt(4mn).  A block
-pair costs one big-int multiply, shifted by width * (R - R1 - R2) >= 0 into
-its target block, and each target block is unpacked once with signed
-borrow.  Rational factors are first multiplied by the lcm of their
-denominators, and the product is divided back.
+J. Symbolic Comput. 44, 2009), in three steps:
+
+* `pack_blocks`: each (m, n) block of a factor becomes one int, with
+  a(m, n, r) in the width-bit slot r + R, R = isqrt(4mn);
+* `mul_blocks`: a block pair costs one big-int multiply, shifted by
+  width * (R - R1 - R2) >= 0 and added, with a sign, into its target block
+  of a packed dict, so several products can accumulate before any unpack;
+* `unpack_blocks`: each target block is unpacked once with signed borrow.
+
+`slot_width` bounds the width from the factors' largest coefficients and
+the number of term pairs that can meet at one index.  `Expansion.__mul__`
+runs the three steps once per product; rational factors are first
+multiplied by the lcm of their denominators, and the product is divided
+back.  `igusa.build_x35` runs them over a whole determinant.
 
 Indices are ordered lexicographically by (trace, m, r).  `order_key` is
 the sort key realizing this total order on index triples (which need not
@@ -140,7 +148,7 @@ def _canon(v, p: int | None):
     """v in the canonical form of its domain: a residue in [0, p) mod p,
     an int in place of an integer-valued Fraction when p is None."""
     if p is None:
-        return int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
+        return int(v) if type(v) is Fraction and v.denominator == 1 else v
     return v % p
 
 
@@ -178,14 +186,62 @@ def _integral(coeffs) -> tuple[dict, int]:
     return {T: c.numerator * (d // c.denominator) for T, c in coeffs.items()}, d
 
 
-def _pack(coeffs, bound: int, width: int, radius) -> dict[tuple[int, int], int]:
-    """One int per (m, n) block of trace <= bound, with a(m, n, r) in the
-    width-bit slot r + radius[m][n]."""
+def slot_width(left_max: int, right_max: int, pairs: int) -> int:
+    """A slot width that holds, sign included, any sum of `pairs` products
+    of an int of size <= left_max with one of size <= right_max."""
+    return left_max.bit_length() + right_max.bit_length() + pairs.bit_length() + 1
+
+
+def block_radii(bound: int) -> list[list[int]]:
+    """radius[m][n] = isqrt(4mn), the largest |r| in the (m, n) block."""
+    return [[isqrt(4 * m * n) for n in range(bound + 1 - m)] for m in range(bound + 1)]
+
+
+def pack_blocks(coeffs, bound: int, width: int, radius) -> dict[tuple[int, int], int]:
+    """One int per (m, n) block of trace <= bound, with the integer a(m, n, r)
+    in the width-bit slot r + radius[m][n]."""
     blocks: dict[tuple[int, int], int] = {}
     for (m, n, r), c in coeffs.items():
         if m + n <= bound:
             blocks[m, n] = blocks.get((m, n), 0) + (c << width * (r + radius[m][n]))
     return blocks
+
+
+def mul_blocks(acc, left, right, bound: int, width: int, radius, sign: int = 1) -> None:
+    """Add sign times the product of the packed factors `left` and `right` to
+    the packed dict `acc`, at every block of trace <= bound."""
+    right = sorted((m + n, m, n, radius[m][n], x) for (m, n), x in right.items())
+    for (m1, n1), x1 in left.items():
+        room, r1, x1 = bound - m1 - n1, radius[m1][n1], sign * x1
+        for t2, m2, n2, r2, x2 in right:
+            if t2 > room:
+                break
+            m, n = m1 + m2, n1 + n2
+            # the shift is >= 0: isqrt(4mn) is superadditive (Cauchy-Schwarz)
+            acc[m, n] = acc.get((m, n), 0) + (x1 * x2 << width * (radius[m][n] - r1 - r2))
+
+
+def slot_values(x: int, width: int) -> list[int]:
+    """The signed slot values of the packed int x, lowest slot first, up to
+    its last nonzero slot; each slot value lies in [-2^(width-1), 2^(width-1))."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    values = []
+    while x:
+        x += half  # signed borrow
+        values.append((x & mask) - half)
+        x >>= width
+    return values
+
+
+def unpack_blocks(acc, width: int, radius, d: int, p: int | None) -> dict[TIndex, object]:
+    """The canonical nonzero coefficients slot / d of the packed dict `acc`."""
+    exact = p is None and d == 1  # int slots are canonical already
+    out = {}
+    for (m, n), x in acc.items():
+        for r, s in enumerate(slot_values(x, width), -radius[m][n]):
+            if s and (v := s if exact else _canon(s if d == 1 else Fraction(s, d), p)):
+                out[TIndex(m, n, r)] = v
+    return out
 
 
 def _product(left, right, bound: int, p: int | None) -> dict[TIndex, object]:
@@ -195,34 +251,14 @@ def _product(left, right, bound: int, p: int | None) -> dict[TIndex, object]:
     if not left or not right:
         return {}
     (left, d1), (right, d2) = _integral(left), _integral(right)
-    # every slot sum is below 2^(width-1) in size: at most min(#left, #right)
-    # term pairs meet at one index; the last bit carries the sign
-    width = sum(max(map(abs, c.values())).bit_length() for c in (left, right))
-    width += min(len(left), len(right)).bit_length() + 1
-    radius = [[isqrt(4 * m * n) for n in range(bound + 1 - m)] for m in range(bound + 1)]
-    packed = _pack(right, bound, width, radius).items()
-    right_blocks = sorted((m + n, m, n, radius[m][n], x) for (m, n), x in packed)
+    # at most min(#left, #right) term pairs meet at one index
+    sizes = (max(map(abs, c.values())) for c in (left, right))
+    width = slot_width(*sizes, min(len(left), len(right)))
+    radius = block_radii(bound)
     acc: dict[tuple[int, int], int] = {}
-    for (m1, n1), x1 in _pack(left, bound, width, radius).items():
-        room, r1 = bound - m1 - n1, radius[m1][n1]
-        for t2, m2, n2, r2, x2 in right_blocks:
-            if t2 > room:
-                break
-            m, n = m1 + m2, n1 + n2
-            # the shift is >= 0: isqrt(4mn) is superadditive (Cauchy-Schwarz)
-            acc[m, n] = acc.get((m, n), 0) + (x1 * x2 << width * (radius[m][n] - r1 - r2))
-    d, half, mask = d1 * d2, 1 << (width - 1), (1 << width) - 1
-    out = {}
-    for (m, n), x in acc.items():
-        r = -radius[m][n]
-        while x:
-            x += half  # signed borrow: each slot value lies in [-half, half)
-            s = (x & mask) - half
-            x >>= width
-            if s and (v := _canon(s if d == 1 else Fraction(s, d), p)):
-                out[TIndex(m, n, r)] = v
-            r += 1
-    return out
+    packed = (pack_blocks(c, bound, width, radius) for c in (left, right))
+    mul_blocks(acc, *packed, bound, width, radius)
+    return unpack_blocks(acc, width, radius, d1 * d2, p)
 
 
 _AXIS_SLOT = {"11": 0, "12": 2, "22": 1}  # which of (m, n, r) multiplies
@@ -327,37 +363,30 @@ class Expansion:
     # ----- ring operations ------------------------------------------------
 
     def __add__(self, other: "Expansion") -> "Expansion":
+        return self._add(other, 1)
+
+    def __neg__(self) -> "Expansion":
+        return self.scale(-1)
+
+    def __sub__(self, other: "Expansion") -> "Expansion":
+        return self._add(other, -1)
+
+    def _add(self, other, sign: int):
+        """self + sign * other in one pass, for sign = 1 or -1."""
         if not isinstance(other, Expansion):
             return NotImplemented
         self._require_same_domain(other)
         w = self._sum_weight(self.weight, other.weight)
         bound = min(self.trace_bound, other.trace_bound)
         p = self.modulus
-        out = {}
-        for T, c in self.coeffs.items():
-            if T.m + T.n <= bound:
-                out[T] = c
+        out = {T: c for T, c in self.coeffs.items() if T.m + T.n <= bound}
         for T, c in other.coeffs.items():
-            if T.m + T.n > bound:
-                continue
-            prev = out.get(T)
-            if prev is None:
-                out[T] = c
-                continue
-            v = _canon(prev + c, p)
-            if v:
-                out[T] = v
-            else:
-                del out[T]
+            if T.m + T.n <= bound:
+                if v := _canon(out.get(T, 0) + sign * c, p):
+                    out[T] = v
+                else:
+                    out.pop(T, None)
         return Expansion._raw(w, bound, out, p)
-
-    def __neg__(self) -> "Expansion":
-        return self.scale(-1)
-
-    def __sub__(self, other: "Expansion") -> "Expansion":
-        if not isinstance(other, Expansion):
-            return NotImplemented
-        return self + (-other)
 
     def scale(self, c) -> "Expansion":
         """Scalar multiple; preserves the weight."""

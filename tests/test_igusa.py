@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
@@ -26,9 +27,11 @@ from siegel2.igusa import (
     genus1_eisenstein,
     integrality_check,
     load_generator_set,
+    maass_lift,
     save_generator_set,
     siegel_eisenstein,
 )
+from siegel2.numtheory import bernoulli
 from siegel2.qexp import Expansion, TIndex, iter_l2_indices
 from siegel2.reference import MIN_MATRIX_REFERENCE, X35_LOW_TRACE, x35_reference_violations
 
@@ -96,6 +99,31 @@ def test_e4_known_coefficients():
     assert e4.coefficient((1, 1, 1)) == 13440
     assert e4.coefficient((1, 1, 2)) == 240
     assert all(isinstance(c, int) for c in e4.coeffs.values())
+
+
+@pytest.mark.parametrize("k", [4, 10])
+def test_maass_lift_matches_the_divisor_sum(k):
+    # an arbitrary c: the lift must not assume anything of it; the sum runs
+    # over every divisor d of the content, with no memo
+    rng = random.Random(k)
+    values = {D: Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for D in range(8 * 8 + 1)}
+    F = maass_lift(values.__getitem__, k, 8)
+    assert F.coefficient((0, 0, 0)) == -bernoulli(k) / (2 * k) * values[0]
+    contents = set()
+    for m in range(9):
+        for n in range(9 - m):
+            rmax = isqrt(4 * m * n)
+            for r in range(-rmax, rmax + 1):
+                if (m, n, r) == (0, 0, 0):
+                    continue
+                g = gcd(m, n, r)
+                contents.add(g)
+                want = sum(
+                    d ** (k - 1) * values[(4 * m * n - r * r) // (d * d)]
+                    for d in range(1, g + 1) if g % d == 0
+                )
+                assert F.coefficient((m, n, r)) == want, (m, n, r)
+    assert contents == set(range(1, 9))
 
 
 def test_siegel_eisenstein_rejects_unsupported_weight():
@@ -355,15 +383,47 @@ def test_det4_matches_cofactor_expansion():
         assert got == det_oracle(values)
 
 
-def test_x35_equals_the_determinant_oracle(genset):
-    # the first row weights each generator by its weight, the other three
-    # rows are its partials; normalised at (2, 3, -1)
-    forms = (genset.x4, genset.x6, genset.x10, genset.x12)
+def x35_oracle(forms):
+    """The determinant of `build_x35` by `det4_oracle`: the first row weights
+    each form by its weight, the other three rows are its partials;
+    normalised at (2, 3, -1)."""
     rows = [[f.scale(f.weight) for f in forms]]
     rows += [[f.derivative(axis) for f in forms] for axis in ("11", "12", "22")]
     det = det4_oracle(rows)
-    x35 = det.scale(Fraction(1) / det.coefficient((2, 3, -1))).with_weight(35)
-    assert x35 == genset.x35
+    return det.scale(Fraction(1) / det.coefficient((2, 3, -1))).with_weight(35)
+
+
+def test_x35_equals_the_determinant_oracle(genset):
+    assert x35_oracle((genset.x4, genset.x6, genset.x10, genset.x12)) == genset.x35
+
+
+TOP = 2**64 - 1
+
+
+def dense_columns(value, modulus=None, bound=7):
+    """Four operands of weights 4, 6, 10, 12 with the coefficient value(T, j)
+    of column j at every index to the bound."""
+    return [
+        Expansion(w, bound, {T: value(T, j) for T in iter_l2_indices(bound)}, modulus)
+        for j, w in enumerate((4, 6, 10, 12))
+    ]
+
+
+def flip(T, j):
+    """-1 on the block (j, 1) of column j, else 1: no two columns are then
+    proportional, and the determinant does not vanish."""
+    return -1 if (T.m, T.n) == (j, 1) else 1
+
+
+# every coefficient at the top of its range fills the slots of the packed
+# determinant to near their widths
+@pytest.mark.parametrize("forms", [
+    dense_columns(lambda T, j: flip(T, j) * TOP),
+    dense_columns(lambda T, j: Fraction(flip(T, j) * TOP, 10**9 + 7 if j == 2 else 1)),
+    dense_columns(lambda T, j: flip(T, j) * 22, modulus=23),
+], ids=["2^64-1", "denominator", "mod23"])
+def test_build_x35_on_dense_extreme_operands(forms):
+    assert build_x35(*forms) == x35_oracle(forms)
 
 
 def test_build_x35_takes_rational_and_mod_p_operands(genset9):

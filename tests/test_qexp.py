@@ -1,5 +1,6 @@
 """Tests of the index order, expansion arithmetic, operators and text format."""
 
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -306,6 +307,23 @@ def test_mul_matches_naive_convolution(operands):
     assert H.coeffs == naive_product(F, G)
     assert all(type(T) is TIndex for T in H.coeffs)
     assert_canonical(H)
+
+
+@given(data=st.data(), modulus=st.sampled_from([None, 5, 23]))
+def test_sub_is_add_of_the_negation(data, modulus):
+    F, G = (
+        data.draw(expansions(modulus=modulus)).with_weight(data.draw(st.sampled_from([None, 4, 6])))
+        for _ in range(2)
+    )
+    try:
+        want = F + (-G)
+    except ValueError as err:  # distinct known weights
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            F - G
+        return
+    got = F - G
+    assert got == want
+    assert_canonical(got)
 
 
 @given(F=expansions(max_trace=4), G=expansions(max_trace=4), H=expansions(max_trace=4))
