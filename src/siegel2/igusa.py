@@ -35,12 +35,8 @@ coefficients after normalization, which is enforced.
 
 The determinant is the Laplace expansion along its first two rows: the
 signed sum of six products of a 2x2 minor of the first two rows and the
-complementary minor of the last two.  It runs in the packed form of the
-`qexp` product kernel: each column is made integral once (the
-normalization cancels the factor), each of the 16 row entries is packed
-once, both products of a minor accumulate in one packed dict, each minor
-is re-slotted to the width of the final products, and the six final
-products accumulate in one packed dict that is unpacked once.
+complementary minor of the last two.  `build_x35` hands the minors of
+each row pair, then the six products, to the `qexp` product kernel.
 """
 
 from __future__ import annotations
@@ -50,12 +46,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from pathlib import Path
 
 from .numtheory import bernoulli, cohen_h, divisor_sigma, divisors
-from .qexp import Expansion, TIndex, iter_l2_indices
-from .qexp import block_radii, mul_blocks, pack_blocks, slot_values, slot_width, unpack_blocks
+from .qexp import Expansion, TIndex, _canon, iter_l2_indices, product_sums
 
 __all__ = [
     "ConstructionError",
@@ -109,16 +104,17 @@ def genus1_eisenstein(k: int, trace_bound: int) -> list:
 def maass_lift(c, k: int, trace_bound: int) -> Expansion:
     """The weight-k Maass lift of the index-1 Jacobi form whose coefficient
     at discriminant D = 4n - r^2 is c(D) (see the module docstring)."""
-    coeffs = {TIndex(0, 0, 0): -bernoulli(k) / (2 * k) * c(0)}
+    coeffs = {TIndex(0, 0, 0): _canon(-bernoulli(k) / (2 * k) * c(0), None)}
     lifted = {}  # a(T) depends on T only through (4 det T, content T)
     for T in iter_l2_indices(trace_bound):
         if T.trace:  # T != 0
             key = (4 * T.m * T.n - T.r * T.r, gcd(*T))
             if key not in lifted:
                 fd, g = key
-                lifted[key] = sum(c(fd // (d * d)) * d ** (k - 1) for d in divisors(g))
+                a = sum(c(fd // (d * d)) * d ** (k - 1) for d in divisors(g))
+                lifted[key] = _canon(a, None)
             coeffs[T] = lifted[key]
-    return Expansion(k, trace_bound, coeffs)
+    return Expansion._raw(k, trace_bound, {T: v for T, v in coeffs.items() if v}, None)
 
 
 def siegel_eisenstein(k: int, trace_bound: int) -> Expansion:
@@ -201,26 +197,6 @@ _DET4_TERMS = (
 )
 
 
-def _minors(top: list[Expansion], low: list[Expansion], bound: int, radius) -> dict:
-    """The six 2x2 minors top[i] low[j] - top[j] low[i] (i < j) of one pair of
-    integral rows to trace `bound`, as slot values per (m, n) block, keyed by
-    (i, j).  Each row entry is packed once; both products of a minor
-    accumulate in one packed dict."""
-    values = [[[c for (m, n, _), c in F.coeffs.items() if m + n <= bound] for F in row]
-              for row in (top, low)]
-    sizes = [max(max(map(abs, v), default=0) for v in row) for row in values]
-    # at most max #terms term pairs of each of the two products meet at one index
-    width = slot_width(*sizes, 2 * max(len(v) for row in values for v in row))
-    packed = [[pack_blocks(F.coeffs, bound, width, radius) for F in row] for row in (top, low)]
-    minors = {}
-    for i, j in combinations(range(4), 2):
-        acc: dict[tuple[int, int], int] = {}
-        mul_blocks(acc, packed[0][i], packed[1][j], bound, width, radius)
-        mul_blocks(acc, packed[0][j], packed[1][i], bound, width, radius, -1)
-        minors[i, j] = {mn: slot_values(x, width) for mn, x in acc.items()}
-    return minors
-
-
 def build_x35(x4: Expansion, x6: Expansion, x10: Expansion, x12: Expansion) -> Expansion:
     """The odd generator: normalized determinant of the four even generators
     and their normalized partials (weight 35), by the Laplace expansion of
@@ -232,33 +208,22 @@ def build_x35(x4: Expansion, x6: Expansion, x10: Expansion, x12: Expansion) -> E
     p = x4.modulus
     if any(f.modulus != p for f in forms):
         raise ValueError("domain mismatch: the four generators must share one domain")
-    # the normalization cancels a factor of a column, so each column is made
-    # integral once, from its generator
-    forms = [f.scale(lcm(*(c.denominator for c in f.coeffs.values()))) for f in forms]
-    rows = [[f.scale(f.weight) for f in forms]]
-    rows += [[f.derivative(axis) for f in forms] for axis in ("11", "12", "22")]
-    radius = block_radii(bound)
+    rows = [[f.scale(f.weight).coeffs for f in forms]]
+    rows += [[f.derivative(axis).coeffs for f in forms] for axis in ("11", "12", "22")]
     # a minor of one row pair is needed only to trace bound - t, where t is the
     # lowest trace of a nonzero minor of the other pair, so at least the sum
     # of the lowest traces of the other pair's rows
-    lowest = [min((m + n for F in row for m, n, _ in F.coeffs), default=bound) for row in rows]
-    top = _minors(*rows[:2], bound - lowest[2] - lowest[3], radius)
-    low = _minors(*rows[2:], bound - lowest[0] - lowest[1], radius)
+    lowest = [min((m + n for F in row for m, n, _ in F), default=bound) for row in rows]
 
-    def size(minors):
-        return max((max(map(abs, v)) for m in minors.values() for v in m.values() if v), default=0)
+    def minors(top, low, reach):
+        pairs = list(combinations(range(4), 2))
+        sums = [[(1, top[i], low[j]), (-1, top[j], low[i])] for i, j in pairs]
+        return dict(zip(pairs, product_sums(sums, reach, p)))
 
-    # the six minor products sum at one index over at most 6 * max #terms pairs
-    pairs = 6 * max(sum(map(len, m.values())) for m in (*top.values(), *low.values()))
-    width = slot_width(size(top), size(low), pairs)
-
-    def repack(minor):
-        return {mn: sum(s << width * i for i, s in enumerate(v)) for mn, v in minor.items()}
-
-    acc: dict[tuple[int, int], int] = {}
-    for (i, j), (i2, j2), sign in _DET4_TERMS:
-        mul_blocks(acc, repack(top[i, j]), repack(low[i2, j2]), bound, width, radius, sign)
-    det = unpack_blocks(acc, width, radius, 1, p)
+    top = minors(*rows[:2], bound - lowest[2] - lowest[3])
+    low = minors(*rows[2:], bound - lowest[0] - lowest[1])
+    terms = [(sign, top[ij], low[kl]) for ij, kl, sign in _DET4_TERMS]
+    det = product_sums([terms], bound, p)[0]
     pivot = det.get(TIndex(2, 3, -1))
     if not pivot:
         raise ConstructionError("determinant vanishes at the normalization index (2,3,-1)")

@@ -23,22 +23,15 @@ Every operation computes with plain `+` and `*` in either domain and hands
 each result to one normaliser, `_canon`; `_embed` turns a rational scalar
 into a coefficient of the domain.
 
-Products use one kernel, Kronecker substitution on the r axis (D. Harvey,
-"Faster polynomial multiplication via multipoint Kronecker substitution",
-J. Symbolic Comput. 44, 2009), in three steps:
-
-* `pack_blocks`: each (m, n) block of a factor becomes one int, with
-  a(m, n, r) in the width-bit slot r + R, R = isqrt(4mn);
-* `mul_blocks`: a block pair costs one big-int multiply, shifted by
-  width * (R - R1 - R2) >= 0 and added, with a sign, into its target block
-  of a packed dict, so several products can accumulate before any unpack;
-* `unpack_blocks`: each target block is unpacked once with signed borrow.
-
-`slot_width` bounds the width from the factors' largest coefficients and
-the number of term pairs that can meet at one index.  `Expansion.__mul__`
-runs the three steps once per product; rational factors are first
-multiplied by the lcm of their denominators, and the product is divided
-back.  `igusa.build_x35` runs them over a whole determinant.
+Products use one kernel, `product_sums`: Kronecker substitution on the r
+axis (D. Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", J. Symbolic Comput. 44, 2009), over sums of
+signed products.  Each distinct factor is made integral and packed once,
+each (m, n) block into one int with a(m, n, r) in the slot r + isqrt(4mn)
+of a width that holds every coefficient of every sum.  A block pair costs
+one big-int multiply, added with its sign into a target block of its sum,
+and each target block is unpacked once with signed borrow.
+`Expansion.__mul__` is a sum of one term.
 
 Indices are ordered lexicographically by (trace, m, r).  `order_key` is
 the sort key realizing this total order on index triples (which need not
@@ -63,6 +56,7 @@ __all__ = [
     "order_key",
     "iter_l2_indices",
     "Expansion",
+    "product_sums",
     "ReductionError",
     "require_prime",
     "theta_quarter",
@@ -175,90 +169,77 @@ def theta_quarter(p: int | None):
     return _embed(Fraction(1, 4), p)
 
 
-def _integral(coeffs) -> tuple[dict, int]:
-    """(ints, d): the coefficients times the lcm d of their denominators."""
-    d = 1
-    for c in coeffs.values():
-        if type(c) is not int:
-            d = lcm(d, c.denominator)
-    if d == 1:
-        return coeffs, 1
-    return {T: c.numerator * (d // c.denominator) for T, c in coeffs.items()}, d
-
-
-def slot_width(left_max: int, right_max: int, pairs: int) -> int:
-    """A slot width that holds, sign included, any sum of `pairs` products
-    of an int of size <= left_max with one of size <= right_max."""
-    return left_max.bit_length() + right_max.bit_length() + pairs.bit_length() + 1
-
-
-def block_radii(bound: int) -> list[list[int]]:
-    """radius[m][n] = isqrt(4mn), the largest |r| in the (m, n) block."""
-    return [[isqrt(4 * m * n) for n in range(bound + 1 - m)] for m in range(bound + 1)]
-
-
-def pack_blocks(coeffs, bound: int, width: int, radius) -> dict[tuple[int, int], int]:
-    """One int per (m, n) block of trace <= bound, with the integer a(m, n, r)
-    in the width-bit slot r + radius[m][n]."""
-    blocks: dict[tuple[int, int], int] = {}
-    for (m, n, r), c in coeffs.items():
-        if m + n <= bound:
-            blocks[m, n] = blocks.get((m, n), 0) + (c << width * (r + radius[m][n]))
-    return blocks
-
-
-def mul_blocks(acc, left, right, bound: int, width: int, radius, sign: int = 1) -> None:
-    """Add sign times the product of the packed factors `left` and `right` to
-    the packed dict `acc`, at every block of trace <= bound."""
-    right = sorted((m + n, m, n, radius[m][n], x) for (m, n), x in right.items())
-    for (m1, n1), x1 in left.items():
-        room, r1, x1 = bound - m1 - n1, radius[m1][n1], sign * x1
-        for t2, m2, n2, r2, x2 in right:
-            if t2 > room:
-                break
-            m, n = m1 + m2, n1 + n2
-            # the shift is >= 0: isqrt(4mn) is superadditive (Cauchy-Schwarz)
-            acc[m, n] = acc.get((m, n), 0) + (x1 * x2 << width * (radius[m][n] - r1 - r2))
-
-
-def slot_values(x: int, width: int) -> list[int]:
-    """The signed slot values of the packed int x, lowest slot first, up to
-    its last nonzero slot; each slot value lies in [-2^(width-1), 2^(width-1))."""
+def product_sums(sums, bound: int, p: int | None) -> list[dict[TIndex, object]]:
+    """The product kernel (see the module docstring).  Each sum is a list of
+    terms (sign, left, right) with an integer sign and coefficient dicts
+    left and right; for each sum, the canonical nonzero coefficients of
+    sum(sign * left * right) at every index of trace <= bound."""
+    radius = [[isqrt(4 * m * n) for n in range(bound + 1 - m)] for m in range(bound + 1)]
+    # each distinct operand is made integral to trace bound: times the lcm d
+    # of its denominators there, with its term count and the bit length of
+    # its largest coefficient times d
+    operands: dict[int, tuple[dict, int, int, int]] = {}
+    for terms in sums:
+        for _, left, right in terms:
+            for c in (left, right):
+                if id(c) not in operands:
+                    kept = [v for (m, n, _), v in c.items() if m + n <= bound]
+                    d = lcm(*(v.denominator for v in kept if type(v) is not int))
+                    top = int(max(map(abs, kept), default=0) * d)
+                    operands[id(c)] = c, d, len(kept), top.bit_length()
+    # a sum runs over the lcm of its terms' d_left * d_right, so each term
+    # carries the multiplier lcm / (d_left * d_right) in its sign; at most
+    # |sign| * min(#left, #right) term pairs of a term meet at one index
+    plans, size, pairs = [], 0, 0
+    for terms in sums:
+        dens = [operands[id(left)][1] * operands[id(right)][1] for _, left, right in terms]
+        den = lcm(*dens)
+        plan = [(sign * (den // d), id(left), id(right))
+                for (sign, left, right), d in zip(terms, dens)]
+        for s, a, b in plan:
+            size = max(size, operands[a][3] + operands[b][3])
+        pairs = max(pairs, sum(abs(s) * min(operands[a][2], operands[b][2]) for s, a, b in plan))
+        plans.append((plan, den))
+    # a slot holds any such sum, sign included
+    width = size + pairs.bit_length() + 1
+    # one int per (m, n) block, with a(m, n, r) in the width-bit slot
+    # r + radius[m][n]; blocks listed by trace
+    packed = {}
+    for key, (c, d, _, _) in operands.items():
+        blocks: dict[tuple[int, int], int] = {}
+        for (m, n, r), v in c.items():
+            if m + n <= bound:
+                v = v if d == 1 else v.numerator * (d // v.denominator)
+                blocks[m, n] = blocks.get((m, n), 0) + (v << width * (r + radius[m][n]))
+        packed[key] = sorted((m + n, m, n, radius[m][n], x) for (m, n), x in blocks.items())
     half, mask = 1 << (width - 1), (1 << width) - 1
-    values = []
-    while x:
-        x += half  # signed borrow
-        values.append((x & mask) - half)
-        x >>= width
-    return values
-
-
-def unpack_blocks(acc, width: int, radius, d: int, p: int | None) -> dict[TIndex, object]:
-    """The canonical nonzero coefficients slot / d of the packed dict `acc`."""
-    exact = p is None and d == 1  # int slots are canonical already
-    out = {}
-    for (m, n), x in acc.items():
-        for r, s in enumerate(slot_values(x, width), -radius[m][n]):
-            if s and (v := s if exact else _canon(s if d == 1 else Fraction(s, d), p)):
-                out[TIndex(m, n, r)] = v
+    out = []
+    for plan, den in plans:
+        acc: dict[tuple[int, int], int] = {}
+        for s, a, b in plan:
+            right = packed[b]
+            for t1, m1, n1, r1, x1 in packed[a]:
+                room, x1 = bound - t1, s * x1
+                for t2, m2, n2, r2, x2 in right:
+                    if t2 > room:
+                        break
+                    m, n = m1 + m2, n1 + n2
+                    # the shift is >= 0: isqrt(4mn) is superadditive (Cauchy-Schwarz)
+                    acc[m, n] = acc.get((m, n), 0) + (x1 * x2 << width * (radius[m][n] - r1 - r2))
+        exact = p is None and den == 1  # int slots are canonical already
+        coeffs = {}
+        for (m, n), x in acc.items():
+            r = -radius[m][n]
+            while x:  # unpack each slot with signed borrow
+                x += half
+                if (v := (x & mask) - half) and not exact:
+                    v = _canon(v if den == 1 else Fraction(v, den), p)
+                if v:
+                    coeffs[TIndex(m, n, r)] = v
+                x >>= width
+                r += 1
+        out.append(coeffs)
     return out
-
-
-def _product(left, right, bound: int, p: int | None) -> dict[TIndex, object]:
-    """The product kernel: the canonical nonzero coefficients at every index
-    of trace <= bound of the product of the coefficient dicts `left` and
-    `right` (see the module docstring)."""
-    if not left or not right:
-        return {}
-    (left, d1), (right, d2) = _integral(left), _integral(right)
-    # at most min(#left, #right) term pairs meet at one index
-    sizes = (max(map(abs, c.values())) for c in (left, right))
-    width = slot_width(*sizes, min(len(left), len(right)))
-    radius = block_radii(bound)
-    acc: dict[tuple[int, int], int] = {}
-    packed = (pack_blocks(c, bound, width, radius) for c in (left, right))
-    mul_blocks(acc, *packed, bound, width, radius)
-    return unpack_blocks(acc, width, radius, d1 * d2, p)
 
 
 _AXIS_SLOT = {"11": 0, "12": 2, "22": 1}  # which of (m, n, r) multiplies
@@ -407,7 +388,8 @@ class Expansion:
             w = self.weight + other.weight
         bound = min(self.trace_bound, other.trace_bound)
         p = self.modulus
-        return Expansion._raw(w, bound, _product(self.coeffs, other.coeffs, bound, p), p)
+        coeffs = product_sums([[(1, self.coeffs, other.coeffs)]], bound, p)[0]
+        return Expansion._raw(w, bound, coeffs, p)
 
     __rmul__ = __mul__  # reached only with a scalar on the left
 

@@ -431,6 +431,7 @@ def test_build_x35_takes_rational_and_mod_p_operands(genset9):
     # cancels a scaled operand, and reduction mod p commutes with it
     x4, x6, x10, x12 = (genset9.x4, genset9.x6, genset9.x10, genset9.x12)
     assert build_x35(x4, x6, x10.scale(Fraction(1, 2)), x12) == genset9.x35
+    assert build_x35(x4, x6.scale(Fraction(3, 7)), x10, x12.scale(Fraction(-1, 2))) == genset9.x35
     for p in (23, 7):
         reduced = [f.reduce_mod(p) for f in (x4, x6, x10, x12)]
         assert build_x35(*reduced) == genset9.x35.reduce_mod(p)
@@ -536,6 +537,18 @@ CACHE_SHA256 = {
         "X10": "b823525d45cdf0ddb7c04ed2cf4d59b00d3ed7965b94cbb9768ead9410b75337",
         "X12": "eb75e00ffe5faa3cfb85c0ac1e7c9e36345dab0cab7c86c19ad2d4d548476b93",
         "X35": "983d615084b6e364f2d7fa8b62bacf2de7a4d01fdefe426539d1d1d6cea66e12",
+    },
+    20: {
+        "E4": "905caa336e0293a529c33a6e09aff31e7d8b245d528fcf4732de5f07ea750e51",
+        "E6": "e2501809bfd530c6dfb72c7ef2142a9089e9b987760ce9672fdba1b113579bbc",
+        "E8": "b70f63916f9e0ea6e8f7e341a118efe8be2a91d2d1bef655fe43e8a59d48a994",
+        "E10": "e4e1643600259560a0e112412ad93b478795e87bcbe5494a6ef8babd02f810ed",
+        "E12": "21b540a01419d845ef80f89689f8078666e362d9d02e2e389942d1414f4ae813",
+        "X4": "905caa336e0293a529c33a6e09aff31e7d8b245d528fcf4732de5f07ea750e51",
+        "X6": "e2501809bfd530c6dfb72c7ef2142a9089e9b987760ce9672fdba1b113579bbc",
+        "X10": "555b646167a87943bd20ba8224a63acd471fe32255b89b411580a351fdcbf70c",
+        "X12": "465f9780d12f2461f67d12504b0bdda0a7d73c3b484250ac7cf1a69a44bd13e5",
+        "X35": "7db974b4f46f041b9ff2c0f3f6e8e5efde47a63cbaad7b4b797a2aaa6c1cfcf0",
     },
 }
 

@@ -14,6 +14,7 @@ from siegel2.qexp import (
     TIndex,
     iter_l2_indices,
     order_key,
+    product_sums,
 )
 
 # the order lives on all of Lambda_2: arbitrary integer triples
@@ -307,6 +308,68 @@ def test_mul_matches_naive_convolution(operands):
     assert H.coeffs == naive_product(F, G)
     assert all(type(T) is TIndex for T in H.coeffs)
     assert_canonical(H)
+
+
+# on the line (j, 0, 0) all seven term pairs of F * F meet at (6, 0, 0)
+@pytest.mark.parametrize("support, scales", [
+    (list(iter_l2_indices(6)), [1] * 6),
+    ([(j, 0, 0) for j in range(7)], [1] * 6),
+    ([(j, 0, 0) for j in range(7)], [Fraction(1, k) for k in range(1, 7)]),
+], ids=["dense", "line", "line-over-1..6"])
+def test_product_sums_width_counts_the_term_pairs(support, scales):
+    # the six terms k * F * F add coherently, so a slot needs the term-count
+    # bits of all six, each with its denominator multiplier
+    F = Expansion(None, 6, {T: TOP for T in support})
+    terms = [(1, F.scale(k).coeffs, F.coeffs) for k in scales]
+    want = {T: sum(scales) * c for T, c in naive_product(F, F).items()}
+    assert product_sums([terms], 6, None) == [want]
+
+
+@st.composite
+def product_sum_calls(draw):
+    """(sums, bound, modulus): 1-3 sums of 1-6 signed terms over a pool of
+    1-4 operands (some empty, some shared between terms) to trace bound + 1;
+    rational operands carry distinct denominators."""
+    modulus = draw(st.sampled_from([None, 5, 23]))
+    bound = draw(st.integers(0, 6))
+    if modulus is None:
+        values = st.integers(-10**20, 10**20)
+    else:
+        values = st.integers(0, modulus - 1)
+    indices = list(iter_l2_indices(bound + 1))
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        support = draw(st.lists(st.sampled_from(indices), max_size=20, unique=True))
+        F = Expansion(None, bound + 1, {T: draw(values) for T in support}, modulus)
+        if modulus is None:
+            F = F.scale(Fraction(1, draw(st.integers(1, 12))))
+        pool.append(F)
+    term = st.tuples(st.sampled_from([1, -1, 2, -3]), st.sampled_from(pool), st.sampled_from(pool))
+    sums = draw(st.lists(st.lists(term, min_size=1, max_size=6), min_size=1, max_size=3))
+    return sums, bound, modulus
+
+
+EMPTY, ONE = Expansion(None, 3), Expansion(None, 3, {(1, 1, 1): Fraction(2, 3)})
+
+
+@example(call=([[(1, EMPTY, ONE)], [(-1, ONE, ONE), (2, ONE, EMPTY)]], 2, None))
+@given(call=product_sum_calls())
+def test_product_sums_match_the_naive_convolutions(call):
+    sums, bound, modulus = call
+    got = product_sums([[(s, F.coeffs, G.coeffs) for s, F, G in terms] for terms in sums],
+                       bound, modulus)
+    assert len(got) == len(sums)
+    for terms, coeffs in zip(sums, got):
+        want = {}
+        for s, F, G in terms:
+            for T, c in naive_product(F, G).items():
+                if T[0] + T[1] <= bound:
+                    want[T] = want.get(T, 0) + s * c
+        if modulus is not None:
+            want = {T: c % modulus for T, c in want.items()}
+        assert coeffs == {T: c for T, c in want.items() if c}
+        assert_canonical(Expansion._raw(None, bound, coeffs, modulus))
+        assert all(type(T) is TIndex for T in coeffs)
 
 
 @given(data=st.data(), modulus=st.sampled_from([None, 5, 23]))
