@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .congruence import (
     CERTIFIED,
@@ -122,11 +121,11 @@ def verify_certificate(gen, prime: int) -> Certificate:
     if not violations:
         checked = sum(1 for _ in iter_l2_indices(9))
         detail = f"indices={checked}, nonzero reference entries={len(X35_LOW_TRACE)}"
-        return replace(cert, checks=[CheckRecord(name, True, detail)] + cert.checks)
+        return cert._replace(checks=[CheckRecord(name, True, detail), *cert.checks])
     T, want, got = violations[0]
     record = CheckRecord(name, False, f"at {tuple(T)}: expected {want}, got {got}")
-    return replace(
-        cert, checks=[record] + cert.checks, verdict=REFUTED,
+    return cert._replace(
+        checks=[record, *cert.checks], verdict=REFUTED,
         witness=T if cert.witness is None else cert.witness,
     )
 

@@ -14,12 +14,12 @@ divisible by the weight-35 generator and the criterion tightens to the
 set of indices preceding (t+2, t+3, 2t-1) with t = floor((k-35)/10).
 `sturm_even` and `sturm_odd` run one criterion body: the even one scans
 the box (`_box_region`), the odd one the order set (`_order_region`).
-Every verifier emits a
-`Certificate` and never widens its hypotheses silently: an expansion whose
-trace bound cannot host the required region yields the one "Insufficient"
-certificate shape (`_insufficient`), and every unproved existence
-statement consumed by a pipeline is spelled out in the certificate's
-assumption list.
+Every verifier emits a `Certificate`, a named tuple holding its
+`CheckRecord`s and assumptions, and never widens its hypotheses silently:
+an expansion whose trace bound cannot host the required region yields the
+one "Insufficient" certificate shape (`_insufficient`), and every unproved
+existence statement consumed by a pipeline is spelled out in the
+certificate's assumption list.
 
 The mod-23 theorem: every Fourier coefficient of X35 sitting at an index
 T with 4*det(T) not divisible by 23 vanishes mod 23.  `verify_x35_mod23`
@@ -34,8 +34,9 @@ whose index has 4*det = 23.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from math import isqrt
+from typing import NamedTuple
 
 from .qexp import Expansion, TIndex, iter_l2_indices, order_key
 
@@ -99,19 +100,18 @@ def sturm_bound_odd(k: int, p: int) -> TIndex:
     return TIndex(t + 2, t + 3, 2 * t - 1)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Deterministic, machine-parseable record of one verification run.
 
     No timestamps, no environment data: the same inputs always produce
-    byte-identical text.
+    byte-identical text.  A record is a named tuple: `_replace` makes an
+    amended copy.
     """
 
     claim: str
@@ -119,8 +119,8 @@ class Certificate:
     weight: int | None
     bound_matrix: TIndex | None
     trace_checked: int | None
-    checks: list[CheckRecord] = field(default_factory=list)
-    assumptions: list[str] = field(default_factory=list)
+    checks: Sequence[CheckRecord] = ()
+    assumptions: Sequence[str] = ()
     verdict: str = INSUFFICIENT
     witness: TIndex | None = None
 

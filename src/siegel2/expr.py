@@ -15,13 +15,16 @@ E4 E6 E8 E10 E12.  Numeric literals have weight 0; a sum requires equal
 weights, a product adds them, and a power multiplies.  There is no
 division operator: "1/2" is a single literal token pair, "X4/X6" is a
 syntax error.
+
+Tree nodes are named tuples, told apart by `isinstance`; their equality
+is tuple equality, which does not see the node's class.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .igusa import ATOM_WEIGHTS
 from .qexp import Expansion
@@ -49,47 +52,40 @@ class ExprError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     name: str
     weight: int
 
 
-@dataclass(frozen=True)
-class Number:
+class Number(NamedTuple):
     value: object  # int or Fraction, canonical
     weight: int = 0
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: object
     weight: int
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(NamedTuple):
     left: object
     right: object
     weight: int
 
 
-@dataclass(frozen=True)
-class Sub:
+class Sub(NamedTuple):
     left: object
     right: object
     weight: int
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(NamedTuple):
     left: object
     right: object
     weight: int
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: object
     exponent: int
     weight: int

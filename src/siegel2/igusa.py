@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
@@ -234,7 +233,6 @@ def _form_property(name: str) -> property:
     return property(lambda self: self.forms[name], doc=f"The {name} expansion.")
 
 
-@dataclass(frozen=True)
 class GeneratorSet:
     """The five ring generators plus the Eisenstein family they came from.
 
@@ -242,10 +240,14 @@ class GeneratorSet:
     expansion.  A built set holds a dict.  A set loaded from the cache holds
     a mapping that reads and checks each file the first time a caller asks
     for its form, so a command reads only the files of the forms it uses.
+    A set with other forms is a new `GeneratorSet`, not an edited one.
     """
 
-    forms: Mapping[str, Expansion]
-    trace_bound: int
+    __slots__ = ("forms", "trace_bound")
+
+    def __init__(self, forms: Mapping[str, Expansion], trace_bound: int):
+        self.forms = forms
+        self.trace_bound = trace_bound
 
     x4 = _form_property("X4")
     x6 = _form_property("X6")

@@ -35,7 +35,6 @@ scale (bounded by a small multiple of the trace bound squared).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import compress, repeat
@@ -179,7 +178,6 @@ def is_fundamental_discriminant(d: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
 class QuadCharacter:
     """The real character chi_D = (D/·) of a fundamental discriminant D.
 
@@ -188,11 +186,12 @@ class QuadCharacter:
     for n != 1 and +1/2 at n = 1.
     """
 
-    discriminant: int
+    __slots__ = ("discriminant",)
 
-    def __post_init__(self) -> None:
-        if not is_fundamental_discriminant(self.discriminant):
-            raise ValueError(f"{self.discriminant} is not a fundamental discriminant")
+    def __init__(self, discriminant: int):
+        if not is_fundamental_discriminant(discriminant):
+            raise ValueError(f"{discriminant} is not a fundamental discriminant")
+        self.discriminant = discriminant
 
     @property
     def modulus(self) -> int:

@@ -466,11 +466,12 @@ class Expansion:
         if self.modulus is not None:
             raise ValueError("expansion is already reduced")
         require_prime(p)
-        out = {}
-        for T in self.support():
-            v = _embed(self.coeffs[T], p, T)
-            if v:
-                out[T] = v
+        try:
+            out = {T: v for T, c in self.coeffs.items()
+                   if (v := c % p if type(c) is int else _embed(c, p, T))}
+        except ReductionError:
+            T = min((T for T, c in self.coeffs.items() if c.denominator % p == 0), key=order_key)
+            raise ReductionError(T, self.coeffs[T], p) from None
         return Expansion._raw(self.weight, self.trace_bound, out, p)
 
     # ----- serialization ------------------------------------------------------
@@ -493,35 +494,53 @@ class Expansion:
 
     @classmethod
     def from_text(cls, text: str) -> "Expansion":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
+        """Parse `to_text` output in one pass: the constructor's checks (prime
+        modulus, psd index in the bound, canonical nonzero value) inline."""
+        lines = (ln for ln in text.splitlines() if ln.strip())
+        first = next(lines, None)
+        if first is None:
             raise ValueError("empty expansion text")
-        head = lines[0].split()
+        head = first.split()
         if len(head) < 4 or head[0] != "qexp":
-            raise ValueError(f"bad expansion header: {lines[0]!r}")
+            raise ValueError(f"bad expansion header: {first!r}")
         weight = None if head[1] == "-" else int(head[1])
-        trace_bound = int(head[2])
+        bound = int(head[2])
         if head[3] == "rational" and len(head) == 4:
-            modulus = None
+            p = None
         elif head[3] == "mod" and len(head) == 5:
-            modulus = int(head[4])
+            p = int(head[4])
         else:
-            raise ValueError(f"bad expansion header: {lines[0]!r}")
-        coeffs: dict[tuple[int, int, int], object] = {}
-        want = 5 if modulus is None else 4
-        for ln in lines[1:]:
+            raise ValueError(f"bad expansion header: {first!r}")
+        if bound < 0:
+            raise ValueError("trace bound must be >= 0")
+        if p is not None:
+            require_prime(p)
+        want = 5 if p is None else 4
+        coeffs: dict[TIndex, object] = {}
+        zeros = False
+        for ln in lines:
             parts = ln.split()
             if len(parts) != want:
                 raise ValueError(f"bad coefficient line: {ln!r}")
-            key = (int(parts[0]), int(parts[1]), int(parts[2]))
-            if key in coeffs:
-                raise ValueError(f"duplicate index {key}")
-            if modulus is None:
-                num, den = int(parts[3]), int(parts[4])
-                if den == 0:
-                    raise ValueError(f"bad coefficient line: {ln!r}")
-                coeffs[key] = num if den == 1 else Fraction(num, den)
+            if p is None:
+                m, n, r, v, den = map(int, parts)
+                if den != 1:
+                    if den == 0:
+                        raise ValueError(f"bad coefficient line: {ln!r}")
+                    v = _canon(Fraction(v, den), None)
             else:
-                coeffs[key] = int(parts[3])
-        return cls(weight, trace_bound, coeffs, modulus)
-
+                m, n, r, v = map(int, parts)
+                v %= p
+            key = TIndex(m, n, r)
+            if key in coeffs:
+                raise ValueError(f"duplicate index {(m, n, r)}")
+            if m < 0 or n < 0 or 4 * m * n < r * r:
+                raise ValueError(f"index {(m, n, r)} is not positive semidefinite")
+            if m + n > bound:
+                raise ValueError(f"index {(m, n, r)} exceeds the trace bound {bound}")
+            # a zero stays until the end, so a later line at its index is a duplicate
+            zeros = zeros or not v
+            coeffs[key] = v
+        if zeros:
+            coeffs = {T: v for T, v in coeffs.items() if v}
+        return cls._raw(weight, bound, coeffs, p)

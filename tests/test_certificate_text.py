@@ -6,13 +6,11 @@ record: each must keep printing these texts byte for byte, whatever code
 builds it.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from siegel2.cli import main
 from siegel2.congruence import sturm_even, sturm_odd, verify_theta_mod5, verify_x35_mod23
-from siegel2.igusa import cache_path, save_generator_set
+from siegel2.igusa import GeneratorSet, cache_path, save_generator_set
 from siegel2.qexp import Expansion, TIndex
 
 PINNED = {
@@ -194,12 +192,12 @@ CASES = {
     "x35_certified": lambda g, s: verify_x35_mod23(g),
     "x35_insufficient_small": lambda g, s: verify_x35_mod23(s),
     "x35_refuted": lambda g, s: verify_x35_mod23(
-        replace(g, forms={**g.forms, "X35": _bump(g.x35, TIndex(2, 3, 0))})
+        GeneratorSet({**g.forms, "X35": _bump(g.x35, TIndex(2, 3, 0))}, g.trace_bound)
     ),
     "theta5_certified": lambda g, s: verify_theta_mod5(g),
     "theta5_insufficient": lambda g, s: verify_theta_mod5(s),
     "theta5_refuted": lambda g, s: verify_theta_mod5(
-        replace(g, forms={**g.forms, "X12": _bump(g.x12, TIndex(2, 3, 1))})
+        GeneratorSet({**g.forms, "X12": _bump(g.x12, TIndex(2, 3, 1))}, g.trace_bound)
     ),
 }
 

@@ -1,7 +1,13 @@
 """End-to-end tests of the command line driver (via main(argv))."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import siegel2
 from siegel2.cli import ENV_CACHE_DIR, MAX_TRACE_BOUND, main
 from siegel2.igusa import CACHE_NAMES, cache_path, save_generator_set
 from siegel2.qexp import Expansion
@@ -420,3 +426,23 @@ def test_flag_overrides_env_var(cli_cache, tmp_path, capsys, monkeypatch):
     assert status == 0
     assert "240" in out
     assert not (tmp_path / "unused").exists()
+
+
+# ----- start-up ------------------------------------------------------------
+
+
+def test_import_loads_no_heavy_stdlib_modules():
+    # compared with a bare interpreter, so whatever `site` preloads is allowed
+    src = Path(siegel2.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def modules(code):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{code}import sys; print(*sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        return set(proc.stdout.split())
+
+    new = modules("import siegel2.cli; ") - modules("")
+    assert "siegel2.cli" in new
+    assert not new & {"dataclasses", "inspect", "ast", "dis", "tokenize"}

@@ -1,7 +1,6 @@
 """Tests of the p-minimum matrix, the vanishing criteria and the verifiers."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -20,6 +19,7 @@ from siegel2.congruence import (
     verify_x35_mod23,
     verify_theta_mod5,
 )
+from siegel2.igusa import GeneratorSet
 from siegel2.qexp import Expansion, TIndex, order_key
 from siegel2.reference import MIN_MATRIX_REFERENCE
 
@@ -178,7 +178,7 @@ def test_x35_mod23_refutes_faulty_input(genset):
     coeffs = dict(genset.x35.coeffs)
     coeffs[TIndex(2, 3, 0)] = 1  # 4*det = 24, not divisible by 23
     x35 = Expansion(35, genset.trace_bound, coeffs)
-    bad = replace(genset, forms={**genset.forms, "X35": x35})
+    bad = GeneratorSet({**genset.forms, "X35": x35}, genset.trace_bound)
     cert = verify_x35_mod23(bad)
     assert cert.verdict == REFUTED
     assert cert.witness == TIndex(2, 3, 0)

@@ -481,6 +481,17 @@ def test_reduce_mod_reports_offending_index():
     assert err.value.modulus == 23
 
 
+def test_reduce_mod_reports_the_least_offender_in_index_order():
+    # dict order puts (2, 1, 1) first; the index order puts (1, 2, 1) first
+    coeffs = {(2, 1, 1): Fraction(1, 23), (0, 0, 0): 1, (1, 2, 1): Fraction(2, 23)}
+    F = Expansion(0, 4, coeffs)
+    assert list(F.coeffs)[0] == TIndex(2, 1, 1)
+    with pytest.raises(ReductionError) as err:
+        F.reduce_mod(23)
+    assert err.value.index == TIndex(1, 2, 1)
+    assert err.value.coefficient == Fraction(2, 23)
+
+
 @given(F=expansions())
 def test_reduce_mod_is_ring_map(F):
     p = 11
@@ -525,16 +536,37 @@ def test_text_format_shape():
     assert Expansion.from_text(weightless).weight is None
 
 
+MALFORMED = [  # (text, the message of its refusal)
+    ("", "empty expansion text"),
+    ("\n  \n", "empty expansion text"),
+    ("qexp 4 x rational\n", "invalid literal for int() with base 10: 'x'"),
+    ("nope 4 3 rational\n", "bad expansion header: 'nope 4 3 rational'"),
+    ("qexp 4 3 rational 7\n", "bad expansion header: 'qexp 4 3 rational 7'"),
+    ("qexp 4 3 mod\n", "bad expansion header: 'qexp 4 3 mod'"),
+    ("qexp 4 3 mod 4\n", "modulus 4 is not prime"),
+    ("qexp 4 -1 rational\n", "trace bound must be >= 0"),
+    ("qexp 4 3 rational\n1 1 1 1\n", "bad coefficient line: '1 1 1 1'"),  # no denominator
+    ("qexp 4 3 mod 23\n1 1 1 1 1\n", "bad coefficient line: '1 1 1 1 1'"),
+    ("qexp 4 3 rational\n1 1 1 1 0\n", "bad coefficient line: '1 1 1 1 0'"),
+    ("qexp 4 3 rational\n1 1 1 1 1\n1 1 1 2 1\n", "duplicate index (1, 1, 1)"),
+    ("qexp 4 3 rational\n1 1 1 0 1\n1 1 1 2 1\n", "duplicate index (1, 1, 1)"),
+    ("qexp 4 3 mod 23\n1 1 3 1\n", "index (1, 1, 3) is not positive semidefinite"),
+    ("qexp 4 3 mod 23\n-1 0 0 1\n", "index (-1, 0, 0) is not positive semidefinite"),
+    ("qexp 4 3 rational\n2 2 0 1 1\n", "index (2, 2, 0) exceeds the trace bound 3"),
+]
+
+
 def test_from_text_rejects_malformed():
-    with pytest.raises(ValueError):
-        Expansion.from_text("")
-    with pytest.raises(ValueError):
-        Expansion.from_text("qexp 4 x rational\n")
-    with pytest.raises(ValueError):
-        Expansion.from_text("nope 4 3 rational\n")
-    with pytest.raises(ValueError):
-        Expansion.from_text("qexp 4 3 rational\n1 1 1 1\n")  # missing denominator
-    with pytest.raises(ValueError):
-        Expansion.from_text("qexp 4 3 rational\n1 1 1 1 1\n1 1 1 2 1\n")  # dup index
-    with pytest.raises(ValueError):
-        Expansion.from_text("qexp 4 3 mod 23\n1 1 3 1\n")  # index not psd
+    for text, message in MALFORMED:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Expansion.from_text(text)
+
+
+def test_from_text_stores_canonical_nonzero_values():
+    F = Expansion.from_text("qexp 4 3 rational\n0 0 0 1 1\n1 1 1 0 1\n1 1 0 2 2\n1 1 -1 3 -6\n")
+    assert F.coeffs == {TIndex(0, 0, 0): 1, TIndex(1, 1, 0): 1, TIndex(1, 1, -1): Fraction(-1, 2)}
+    assert type(F.coeffs[TIndex(1, 1, 0)]) is int
+    assert all(type(T) is TIndex for T in F.coeffs)
+    G = Expansion.from_text("qexp 4 3 mod 23\n0 0 0 24\n1 1 1 23\n1 1 0 -1\n")
+    assert G.coeffs == {TIndex(0, 0, 0): 1, TIndex(1, 1, 0): 22}
+    assert G.modulus == 23 and G.weight == 4 and G.trace_bound == 3
