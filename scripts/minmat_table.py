@@ -38,10 +38,10 @@ def main(argv=None) -> int:
             row = [name]
             for p in PRIMES:
                 got = min_matrix(gen.atom(name).reduce_mod(p))
-                row.append(str(tuple(got)))
+                row.append(str(got))
                 if got != want:
                     failures += 1
-            row.append(str(tuple(want)))
+            row.append(str(want))
             rows.append(row)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

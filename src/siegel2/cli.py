@@ -47,7 +47,7 @@ from .expr import eval_expr, literals, parse
 from .igusa import (
     CACHE_NAMES, MIN_BUILD_BOUND, ConstructionError, cache_path, ensure_generator_set,
 )
-from .qexp import Expansion, TIndex, iter_l2_indices, require_prime, theta_quarter
+from .qexp import Expansion, iter_l2_indices, require_prime, theta_quarter
 from .reference import X35_LOW_TRACE, x35_reference_violations
 
 ENV_CACHE_DIR = "SIEGEL2_CACHE_DIR"
@@ -117,13 +117,13 @@ def verify_certificate(gen, prime: int) -> Certificate:
     if cert.verdict == INSUFFICIENT:
         return cert
     name = "X35 matches the reference coefficients at every index of trace <= 9"
-    violations = x35_reference_violations(gen.x35)
+    violations = x35_reference_violations(gen.atom("X35"))
     if not violations:
         checked = sum(1 for _ in iter_l2_indices(9))
         detail = f"indices={checked}, nonzero reference entries={len(X35_LOW_TRACE)}"
         return cert._replace(checks=[CheckRecord(name, True, detail), *cert.checks])
     T, want, got = violations[0]
-    record = CheckRecord(name, False, f"at {tuple(T)}: expected {want}, got {got}")
+    record = CheckRecord(name, False, f"at {T}: expected {want}, got {got}")
     return cert._replace(
         checks=[record, *cert.checks], verdict=REFUTED,
         witness=T if cert.witness is None else cert.witness,
@@ -143,17 +143,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_coeff(args) -> int:
-    T = TIndex(args.m, args.n, args.r)
-    if not T.in_l2():
-        raise ValueError(f"index {tuple(T)} is not positive semidefinite")
-    if T.trace > args.trace_bound:
-        raise ValueError(f"index {tuple(T)} exceeds the trace bound {args.trace_bound}")
+    m, n, r = T = args.m, args.n, args.r
+    if m < 0 or n < 0 or 4 * m * n < r * r:
+        raise ValueError(f"index {T} is not positive semidefinite")
+    if m + n > args.trace_bound:
+        raise ValueError(f"index {T} exceeds the trace bound {args.trace_bound}")
     c = _eval(_parse(args), args).coefficient(T)
     if args.format == "lines":
         print(c)
     else:
         mod = "" if args.prime is None else f" mod {args.prime}"
-        print(f"a(({T.m},{T.n},{T.r}); {args.expr}){mod} = {c}")
+        print(f"a(({m},{n},{r}); {args.expr}){mod} = {c}")
     return 0
 
 
@@ -161,10 +161,10 @@ def _cmd_minmat(args) -> int:
     F = _eval(_parse(args), args)
     T = min_matrix(F)
     if args.format == "lines":
-        print(f"infinity {F.trace_bound}" if T is None else f"{T.m} {T.n} {T.r}")
+        print(f"infinity {F.trace_bound}" if T is None else " ".join(map(str, T)))
     else:
         value = (f"infinity (no nonzero residue up to trace {F.trace_bound})"
-                 if T is None else tuple(T))
+                 if T is None else T)
         print(f"m_{args.prime}({args.expr}) = {value}")
     return 0
 

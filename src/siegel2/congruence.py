@@ -38,7 +38,7 @@ from collections.abc import Sequence
 from math import isqrt
 from typing import NamedTuple
 
-from .qexp import Expansion, TIndex, iter_l2_indices, order_key
+from .qexp import Expansion, iter_l2_indices, order_key
 
 __all__ = [
     "CERTIFIED",
@@ -69,7 +69,7 @@ def _modulus_of(F: Expansion) -> int:
     return F.modulus
 
 
-def min_matrix(F: Expansion) -> TIndex | None:
+def min_matrix(F: Expansion) -> tuple[int, int, int] | None:
     """Least index (in the (trace, m, r) order) with a nonzero residue, or
     None for infinity: F vanishes mod p up to its trace bound."""
     p = _modulus_of(F)
@@ -82,22 +82,22 @@ def _require_prime_ge5(p: int) -> None:
         raise ValueError(f"the vanishing criteria need p >= 5; got {p}")
 
 
-def sturm_bound_even(k: int, p: int) -> TIndex:
+def sturm_bound_even(k: int, p: int) -> tuple[int, int, int]:
     """Bound matrix (t, t, 2t), t = floor(k/10), of the even-weight criterion."""
     if k <= 0 or k % 2:
         raise ValueError("even positive weight required")
     _require_prime_ge5(p)
     t = k // 10
-    return TIndex(t, t, 2 * t)
+    return t, t, 2 * t
 
 
-def sturm_bound_odd(k: int, p: int) -> TIndex:
+def sturm_bound_odd(k: int, p: int) -> tuple[int, int, int]:
     """Bound matrix (t+2, t+3, 2t-1), t = floor((k-35)/10), of the odd-weight criterion."""
     if k < 35 or k % 2 == 0:
         raise ValueError("odd weight >= 35 required")
     _require_prime_ge5(p)
     t = (k - 35) // 10
-    return TIndex(t + 2, t + 3, 2 * t - 1)
+    return t + 2, t + 3, 2 * t - 1
 
 
 class CheckRecord(NamedTuple):
@@ -117,12 +117,12 @@ class Certificate(NamedTuple):
     claim: str
     prime: int
     weight: int | None
-    bound_matrix: TIndex | None
+    bound_matrix: tuple[int, int, int] | None
     trace_checked: int | None
     checks: Sequence[CheckRecord] = ()
     assumptions: Sequence[str] = ()
     verdict: str = INSUFFICIENT
-    witness: TIndex | None = None
+    witness: tuple[int, int, int] | None = None
 
     def to_text(self) -> str:
         lines = [
@@ -131,8 +131,7 @@ class Certificate(NamedTuple):
             f"weight: {'-' if self.weight is None else self.weight}",
         ]
         if self.bound_matrix is not None:
-            b = self.bound_matrix
-            lines.append(f"bound-matrix: ({b.m}, {b.n}, {b.r})")
+            lines.append(f"bound-matrix: {self.bound_matrix}")
         if self.trace_checked is not None:
             lines.append(f"trace-checked: {self.trace_checked}")
         for c in self.checks:
@@ -142,8 +141,7 @@ class Certificate(NamedTuple):
         for a in self.assumptions:
             lines.append(f"assumption: {a}")
         if self.witness is not None:
-            w = self.witness
-            lines.append(f"witness: ({w.m}, {w.n}, {w.r})")
+            lines.append(f"witness: {self.witness}")
         lines.append(f"verdict: {self.verdict}")
         return "\n".join(lines) + "\n"
 
@@ -156,10 +154,10 @@ def _insufficient(claim, p, k, bound, trace, check, detail, assumptions=()) -> C
     )
 
 
-def _box_region(t: int) -> list[TIndex]:
+def _box_region(t: int) -> list[tuple[int, int, int]]:
     """The box 0 <= m, n <= t of the even criterion, in the index order."""
     box = [
-        TIndex(m, n, r)
+        (m, n, r)
         for m in range(t + 1)
         for n in range(t + 1)
         for r in range(-isqrt(4 * m * n), isqrt(4 * m * n) + 1)
@@ -167,13 +165,13 @@ def _box_region(t: int) -> list[TIndex]:
     return sorted(box, key=order_key)
 
 
-def _order_region(bound: TIndex) -> list[TIndex]:
+def _order_region(bound) -> list[tuple[int, int, int]]:
     """Every index preceding or equal to the bound matrix, in the index order."""
     bk = order_key(bound)
-    return [T for T in iter_l2_indices(bound.trace) if order_key(T) <= bk]
+    return [T for T in iter_l2_indices(bound[0] + bound[1]) if order_key(T) <= bk]
 
 
-def _scan_region(F: Expansion, region) -> TIndex | None:
+def _scan_region(F: Expansion, region) -> tuple[int, int, int] | None:
     """First violation (in the index order) of 'residue == 0' on the region."""
     for T in region:
         if F.coefficient(T):
@@ -181,27 +179,27 @@ def _scan_region(F: Expansion, region) -> TIndex | None:
     return None
 
 
-def _sturm(F: Expansion, k: int, bound: TIndex, name: str, assumptions) -> Certificate:
+def _sturm(F: Expansion, k: int, bound, name: str, assumptions) -> Certificate:
     """The criterion body shared by both parities: scan the hypothesis
     region of the bound matrix, the box for even k and the order set for
     odd k."""
     p = F.modulus
     claim = f"{name} vanishes identically mod {p}"
-    needed = bound.trace
+    needed = bound[0] + bound[1]
     if F.trace_bound < needed:
         return _insufficient(
             claim, p, k, bound, None, "hypothesis region inside the trace bound",
             f"need trace {needed}, have {F.trace_bound}", assumptions,
         )
     if k % 2 == 0:
-        region = _box_region(bound.m)
-        desc = f"a(m,n,r) = 0 mod {p} on the box 0 <= m,n <= {bound.m}"
+        region = _box_region(bound[0])
+        desc = f"a(m,n,r) = 0 mod {p} on the box 0 <= m,n <= {bound[0]}"
     else:
         region = _order_region(bound)
         desc = f"a(T) = 0 mod {p} for every T up to the bound matrix"
     witness = _scan_region(F, region)
     passed = witness is None
-    detail = f"indices={len(region)}" if passed else f"nonzero residue at {tuple(witness)}"
+    detail = f"indices={len(region)}" if passed else f"nonzero residue at {witness}"
     return Certificate(
         claim, p, k, bound, needed,
         [CheckRecord(desc, passed, detail)],
@@ -258,20 +256,21 @@ def verify_x35_mod23(gen) -> Certificate:
     if short is not None:
         return short
     p = 23
-    n = gen.trace_bound
+    bound = gen.trace_bound
+    x35 = gen.atom("X35")
 
     checks: list[CheckRecord] = []
     assumptions = [theta_landing_assumption(35, p)]
 
     # (a) theta pipeline: the theta image must vanish mod 23 up to trace 9 ...
-    theta_image = gen.x35.reduce_mod(p).theta()
+    theta_image = x35.reduce_mod(p).theta()
     region9 = list(iter_l2_indices(9))
     viol = _scan_region(theta_image, region9)
     checks.append(
         CheckRecord(
             "theta image of X35 vanishes mod 23 at every index of trace <= 9",
             viol is None,
-            f"indices={len(region9)}" if viol is None else f"nonzero at {tuple(viol)}",
+            f"indices={len(region9)}" if viol is None else f"nonzero at {viol}",
         )
     )
     # ... and that finite region certifies it is identically zero at weight 59
@@ -280,7 +279,7 @@ def verify_x35_mod23(gen) -> Certificate:
     )
     checks.append(
         CheckRecord(
-            f"odd-weight criterion at weight 59 with bound matrix {tuple(sub.bound_matrix)}",
+            f"odd-weight criterion at weight 59 with bound matrix {sub.bound_matrix}",
             sub.verdict == CERTIFIED,
             f"verdict={sub.verdict}",
         )
@@ -289,37 +288,39 @@ def verify_x35_mod23(gen) -> Certificate:
     # (b) direct scan of the exact coefficients up to the working bound
     exempt = checked = 0
     scan_witness = None
-    for T in iter_l2_indices(n):
-        if T.fourdet % p == 0:
+    for T in iter_l2_indices(bound):
+        m, n, r = T
+        if (4 * m * n - r * r) % p == 0:
             exempt += 1
             continue
         checked += 1
-        if scan_witness is None and gen.x35.coefficient(T) % p:
+        if scan_witness is None and x35.coefficient(T) % p:
             scan_witness = T
     checks.append(
         CheckRecord(
-            f"direct scan to trace {n}: coefficients vanish mod 23 off the divisibility locus",
+            f"direct scan to trace {bound}: coefficients vanish mod 23 off the divisibility locus",
             scan_witness is None,
             f"checked={checked}, exempt={exempt}"
-            + ("" if scan_witness is None else f", nonzero at {tuple(scan_witness)}"),
+            + ("" if scan_witness is None else f", nonzero at {scan_witness}"),
         )
     )
     witness = scan_witness if viol is None else viol
 
     # the converse direction fails: a zero coefficient on the divisibility locus
-    cw = TIndex(1, 6, 1)
-    converse_ok = gen.x35.coefficient(cw) == 0 and cw.fourdet % p == 0
+    m, n, r = cw = (1, 6, 1)
+    fourdet = 4 * m * n - r * r
+    converse_ok = x35.coefficient(cw) == 0 and fourdet % p == 0
     checks.append(
         CheckRecord(
             "converse refuted: a((1,6,1)) = 0 although 4*det((1,6,1)) = 23",
             converse_ok,
-            f"coefficient={gen.x35.coefficient(cw)}, fourdet={cw.fourdet}",
+            f"coefficient={x35.coefficient(cw)}, fourdet={fourdet}",
         )
     )
 
     verdict = CERTIFIED if all(c.passed for c in checks) else REFUTED
     return Certificate(
-        _X35_CLAIM, p, 35, sub.bound_matrix, n, checks, assumptions, verdict, witness
+        _X35_CLAIM, p, 35, sub.bound_matrix, bound, checks, assumptions, verdict, witness
     )
 
 
@@ -348,14 +349,14 @@ def verify_theta_mod5(gen) -> Certificate:
         return short
     p = 5
     assumptions = [theta_landing_assumption(6, p)]
-    difference = gen.x6.reduce_mod(p).theta() - gen.x12.reduce_mod(p).scale(4)
+    difference = gen.atom("X6").reduce_mod(p).theta() - gen.atom("X12").reduce_mod(p).scale(4)
     region10 = list(iter_l2_indices(10))
     witness = _scan_region(difference, region10)
     checks = [
         CheckRecord(
             "theta(X6) and 4*X12 agree mod 5 at every index of trace <= 10",
             witness is None,
-            f"indices={len(region10)}" if witness is None else f"disagree at {tuple(witness)}",
+            f"indices={len(region10)}" if witness is None else f"disagree at {witness}",
         )
     ]
     sub = sturm_even(
@@ -363,7 +364,7 @@ def verify_theta_mod5(gen) -> Certificate:
     )
     checks.append(
         CheckRecord(
-            f"even-weight criterion at weight 12 with bound matrix {tuple(sub.bound_matrix)}",
+            f"even-weight criterion at weight 12 with bound matrix {sub.bound_matrix}",
             sub.verdict == CERTIFIED,
             f"verdict={sub.verdict}",
         )

@@ -49,7 +49,7 @@ from math import gcd, isqrt
 from pathlib import Path
 
 from .numtheory import bernoulli, cohen_h, divisor_sigma, divisors
-from .qexp import Expansion, TIndex, _canon, iter_l2_indices, product_sums
+from .qexp import Expansion, _canon, iter_l2_indices, order_key, product_sums
 
 __all__ = [
     "ConstructionError",
@@ -103,11 +103,12 @@ def genus1_eisenstein(k: int, trace_bound: int) -> list:
 def maass_lift(c, k: int, trace_bound: int) -> Expansion:
     """The weight-k Maass lift of the index-1 Jacobi form whose coefficient
     at discriminant D = 4n - r^2 is c(D) (see the module docstring)."""
-    coeffs = {TIndex(0, 0, 0): _canon(-bernoulli(k) / (2 * k) * c(0), None)}
+    coeffs = {(0, 0, 0): _canon(-bernoulli(k) / (2 * k) * c(0), None)}
     lifted = {}  # a(T) depends on T only through (4 det T, content T)
     for T in iter_l2_indices(trace_bound):
-        if T.trace:  # T != 0
-            key = (4 * T.m * T.n - T.r * T.r, gcd(*T))
+        m, n, r = T
+        if m + n:  # T != 0
+            key = (4 * m * n - r * r, gcd(m, n, r))
             if key not in lifted:
                 fd, g = key
                 a = sum(c(fd // (d * d)) * d ** (k - 1) for d in divisors(g))
@@ -139,11 +140,10 @@ def eisenstein_family(trace_bound: int) -> dict[int, Expansion]:
     return family
 
 
-def _cusp_violation(F: Expansion) -> TIndex | None:
-    for T in iter_l2_indices(F.trace_bound):
-        if T.fourdet == 0 and F.coefficient(T):
-            return T
-    return None
+def _cusp_violation(F: Expansion) -> tuple[int, int, int] | None:
+    """The least index of rank <= 1 (4mn = r^2) with a nonzero coefficient."""
+    flat = [T for T in F.coeffs if 4 * T[0] * T[1] == T[2] * T[2]]
+    return min(flat, key=order_key, default=None)
 
 
 def build_x10_x12(trace_bound: int) -> tuple[Expansion, Expansion]:
@@ -223,14 +223,10 @@ def build_x35(x4: Expansion, x6: Expansion, x10: Expansion, x12: Expansion) -> E
     low = minors(*rows[2:], bound - lowest[0] - lowest[1])
     terms = [(sign, top[ij], low[kl]) for ij, kl, sign in _DET4_TERMS]
     det = product_sums([terms], bound, p)[0]
-    pivot = det.get(TIndex(2, 3, -1))
+    pivot = det.get((2, 3, -1))
     if not pivot:
         raise ConstructionError("determinant vanishes at the normalization index (2,3,-1)")
     return Expansion(35, bound, det, p).scale(Fraction(1) / pivot)
-
-
-def _form_property(name: str) -> property:
-    return property(lambda self: self.forms[name], doc=f"The {name} expansion.")
 
 
 class GeneratorSet:
@@ -249,12 +245,6 @@ class GeneratorSet:
         self.forms = forms
         self.trace_bound = trace_bound
 
-    x4 = _form_property("X4")
-    x6 = _form_property("X6")
-    x10 = _form_property("X10")
-    x12 = _form_property("X12")
-    x35 = _form_property("X35")
-
     @property
     def eisenstein(self) -> dict[int, Expansion]:
         return {k: self.forms[f"E{k}"] for k in SUPPORTED_WEIGHTS}
@@ -267,7 +257,7 @@ class GeneratorSet:
         return self.forms[name]
 
 
-def integrality_check(forms: dict[str, Expansion]) -> list[tuple[str, TIndex, object]]:
+def integrality_check(forms: dict[str, Expansion]) -> list[tuple[str, tuple, object]]:
     """Report non-integer coefficients of a mapping name -> Expansion;
     empty means all of them are integral."""
     out = []
@@ -295,7 +285,7 @@ def build_generator_set(trace_bound: int) -> GeneratorSet:
     for name in ("X10", "X12", "X35"):
         bad = _cusp_violation(gen.atom(name))
         if bad is not None:
-            raise ConstructionError(f"{name} has a nonzero rank<=1 coefficient at {tuple(bad)}")
+            raise ConstructionError(f"{name} has a nonzero rank<=1 coefficient at {bad}")
     for name, idx in (
         ("X4", (0, 0, 0)),
         ("X6", (0, 0, 0)),
@@ -308,7 +298,7 @@ def build_generator_set(trace_bound: int) -> GeneratorSet:
     violations = integrality_check(gen.generators())
     if violations:
         name, T, c = violations[0]
-        raise ConstructionError(f"non-integral coefficient {c} at {tuple(T)} in {name}")
+        raise ConstructionError(f"non-integral coefficient {c} at {T} in {name}")
     return gen
 
 
@@ -386,7 +376,7 @@ def load_generator_set(trace_bound: int, cache_dir) -> GeneratorSet | None:
     """A cached build; None when any of the ten files is missing.
 
     No file is read here: each one is read and checked the first time a
-    caller asks for its form (`gen.x35`, `gen.atom(name)`, ...), so a
+    caller asks for its form (`gen.atom(name)`), so a
     command reads only the files it uses.  Each file's header must match
     its name: the weight in the name (E10 -> 10, X35 -> 35), the rational
     domain and the trace bound.  The Siegel restriction of E4..E12, X4 and

@@ -6,11 +6,15 @@ An index triple T = (m, n, r) stands for the half-integral symmetric matrix
      [ r/2, n  ]]
 
 The positive semidefinite cone L2 is cut out by m >= 0, n >= 0 and
-4mn - r^2 >= 0; `T.trace = m + n` and `T.fourdet = 4mn - r^2 = 4 det(T)`.
-An `Expansion` stores the nonzero coefficients a(T) for trace(T) <= N.
-Traces are non-negative and add under index addition, so sums and products
-of bound-N expansions are again *exact* at every index of trace <= N: the
-truncation never corrupts tracked coefficients.
+4mn - r^2 >= 0.  An `Expansion` stores the nonzero coefficients a(T) for
+trace(T) = m + n <= N.  Traces are non-negative and add under index
+addition, so sums and products of bound-N expansions are again *exact* at
+every index of trace <= N: the truncation never corrupts tracked
+coefficients.
+
+Indices are plain `(m, n, r)` tuples everywhere: keys, witnesses and bound
+matrices.  The code writes m + n and 4mn - r^2 = 4 det(T) inline; a
+tuple's `+` concatenates, so the package does no index arithmetic.
 
 Two coefficient domains are supported:
 
@@ -46,13 +50,12 @@ distinct known weights is refused; `None` absorbs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-from typing import Iterator, NamedTuple
+from math import isqrt, lcm
+from typing import Iterator
 
 from .numtheory import is_prime
 
 __all__ = [
-    "TIndex",
     "order_key",
     "iter_l2_indices",
     "Expansion",
@@ -63,61 +66,19 @@ __all__ = [
 ]
 
 
-class TIndex(NamedTuple):
-    """Index triple (m, n, r) for the matrix [[m, r/2], [r/2, n]].
-
-    The container itself ranges over all of Lambda_2 (any integers);
-    positive semidefiniteness is a separate predicate, `in_l2`.
-    Addition/subtraction are component-wise (index addition is what the
-    convolution product and the minimum-matrix calculus use; a plain
-    tuple's `+` would concatenate).
-    """
-
-    m: int
-    n: int
-    r: int
-
-    @property
-    def trace(self) -> int:
-        return self.m + self.n
-
-    @property
-    def fourdet(self) -> int:
-        """4*det(T) = 4mn - r^2 (integer, while det itself may be quarter-integral)."""
-        return 4 * self.m * self.n - self.r * self.r
-
-    @property
-    def content(self) -> int:
-        """gcd(m, n, r), defined for T != 0."""
-        if self == (0, 0, 0):
-            raise ValueError("content is undefined at the zero index")
-        return gcd(self.m, self.n, self.r)
-
-    def in_l2(self) -> bool:
-        return self.m >= 0 and self.n >= 0 and self.fourdet >= 0
-
-    def __add__(self, other):
-        om, on, orr = other
-        return TIndex(self.m + om, self.n + on, self.r + orr)
-
-    def __sub__(self, other):
-        om, on, orr = other
-        return TIndex(self.m - om, self.n - on, self.r - orr)
-
-
 def order_key(t) -> tuple[int, int, int]:
     """Sort key of the (trace, m, r) lexicographic order on index triples."""
     return (t[0] + t[1], t[0], t[2])
 
 
-def iter_l2_indices(trace_bound: int) -> Iterator[TIndex]:
+def iter_l2_indices(trace_bound: int) -> Iterator[tuple[int, int, int]]:
     """All of L2 with trace <= trace_bound, ascending in the index order."""
     for t in range(trace_bound + 1):
         for m in range(t + 1):
             n = t - m
             rmax = isqrt(4 * m * n)
             for r in range(-rmax, rmax + 1):
-                yield TIndex(m, n, r)
+                yield m, n, r
 
 
 class ReductionError(ValueError):
@@ -128,7 +89,7 @@ class ReductionError(ValueError):
         self.coefficient = coefficient
         self.modulus = modulus
         super().__init__(
-            f"coefficient {coefficient} at index {tuple(index)} is not {modulus}-integral"
+            f"coefficient {coefficient} at index {index} is not {modulus}-integral"
         )
 
 
@@ -169,7 +130,7 @@ def theta_quarter(p: int | None):
     return _embed(Fraction(1, 4), p)
 
 
-def product_sums(sums, bound: int, p: int | None) -> list[dict[TIndex, object]]:
+def product_sums(sums, bound: int, p: int | None) -> list[dict[tuple[int, int, int], object]]:
     """The product kernel (see the module docstring).  Each sum is a list of
     terms (sign, left, right) with an integer sign and coefficient dicts
     left and right; for each sum, the canonical nonzero coefficients of
@@ -235,7 +196,7 @@ def product_sums(sums, bound: int, p: int | None) -> list[dict[TIndex, object]]:
                 if (v := (x & mask) - half) and not exact:
                     v = _canon(v if den == 1 else Fraction(v, den), p)
                 if v:
-                    coeffs[TIndex(m, n, r)] = v
+                    coeffs[m, n, r] = v
                 x >>= width
                 r += 1
         out.append(coeffs)
@@ -251,7 +212,8 @@ class Expansion:
     Attributes:
         weight: modular weight, or None for non-modular intermediates.
         trace_bound: every index with trace <= trace_bound is tracked exactly.
-        coeffs: dict mapping TIndex -> nonzero scalar (canonical form).
+        coeffs: dict mapping an index tuple (m, n, r) -> nonzero scalar
+            (canonical form).
         modulus: None for the rational domain, a prime p for residues.
     """
 
@@ -262,19 +224,17 @@ class Expansion:
             raise ValueError("trace bound must be >= 0")
         if modulus is not None:
             require_prime(modulus)
-        canon: dict[TIndex, object] = {}
+        canon = {}
         if coeffs:
-            for key, val in coeffs.items():
-                idx = key if type(key) is TIndex else TIndex(*key)
-                if not idx.in_l2():
-                    raise ValueError(f"index {tuple(idx)} is not positive semidefinite")
-                if idx.trace > trace_bound:
-                    raise ValueError(
-                        f"index {tuple(idx)} exceeds the trace bound {trace_bound}"
-                    )
-                val = _embed(val, modulus, idx)
+            for T, val in coeffs.items():
+                m, n, r = T
+                if m < 0 or n < 0 or 4 * m * n < r * r:
+                    raise ValueError(f"index {T} is not positive semidefinite")
+                if m + n > trace_bound:
+                    raise ValueError(f"index {T} exceeds the trace bound {trace_bound}")
+                val = _embed(val, modulus, T)
                 if val:
-                    canon[idx] = val
+                    canon[T] = val
         self.weight = weight
         self.trace_bound = trace_bound
         self.coeffs = canon
@@ -293,7 +253,7 @@ class Expansion:
 
     @classmethod
     def constant(cls, value, trace_bound: int, modulus: int | None = None) -> "Expansion":
-        return cls(0, trace_bound, {TIndex(0, 0, 0): value}, modulus)
+        return cls(0, trace_bound, {(0, 0, 0): value}, modulus)
 
     @classmethod
     def one(cls, trace_bound: int, modulus: int | None = None) -> "Expansion":
@@ -319,10 +279,9 @@ class Expansion:
 
     def coefficient(self, index):
         """a(T); 0 (int) for any tracked index off the support."""
-        key = index if type(index) is TIndex else TIndex(*index)
-        return self.coeffs.get(key, 0)
+        return self.coeffs.get(index, 0)
 
-    def support(self) -> list[TIndex]:
+    def support(self) -> list[tuple[int, int, int]]:
         """Indices with nonzero coefficient, ascending in the index order."""
         return sorted(self.coeffs, key=order_key)
 
@@ -360,9 +319,9 @@ class Expansion:
         w = self._sum_weight(self.weight, other.weight)
         bound = min(self.trace_bound, other.trace_bound)
         p = self.modulus
-        out = {T: c for T, c in self.coeffs.items() if T.m + T.n <= bound}
+        out = {T: c for T, c in self.coeffs.items() if T[0] + T[1] <= bound}
         for T, c in other.coeffs.items():
-            if T.m + T.n <= bound:
+            if T[0] + T[1] <= bound:
                 if v := _canon(out.get(T, 0) + sign * c, p):
                     out[T] = v
                 else:
@@ -410,10 +369,6 @@ class Expansion:
             return Expansion.one(self.trace_bound, self.modulus)
         return result
 
-    def with_weight(self, weight) -> "Expansion":
-        """Copy with the weight slot replaced (used after normalizations)."""
-        return Expansion._raw(weight, self.trace_bound, dict(self.coeffs), self.modulus)
-
     # ----- differential operators ------------------------------------------
 
     def derivative(self, axis: str) -> "Expansion":
@@ -446,7 +401,8 @@ class Expansion:
         quarter = theta_quarter(p)
         out = {}
         for T, c in self.coeffs.items():
-            v = _canon((4 * T.m * T.n - T.r * T.r) * quarter * c, p)
+            m, n, r = T
+            v = _canon((4 * m * n - r * r) * quarter * c, p)
             if v:
                 out[T] = v
         return Expansion._raw(None, self.trace_bound, out, p)
@@ -489,7 +445,7 @@ class Expansion:
         for T in self.support():
             c = self.coeffs[T]
             value = f"{c.numerator} {c.denominator}" if rational else c
-            lines.append(f"{T.m} {T.n} {T.r} {value}")
+            lines.append(f"{T[0]} {T[1]} {T[2]} {value}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -516,7 +472,7 @@ class Expansion:
         if p is not None:
             require_prime(p)
         want = 5 if p is None else 4
-        coeffs: dict[TIndex, object] = {}
+        coeffs = {}
         zeros = False
         for ln in lines:
             parts = ln.split()
@@ -531,16 +487,16 @@ class Expansion:
             else:
                 m, n, r, v = map(int, parts)
                 v %= p
-            key = TIndex(m, n, r)
-            if key in coeffs:
-                raise ValueError(f"duplicate index {(m, n, r)}")
+            T = m, n, r
+            if T in coeffs:
+                raise ValueError(f"duplicate index {T}")
             if m < 0 or n < 0 or 4 * m * n < r * r:
-                raise ValueError(f"index {(m, n, r)} is not positive semidefinite")
+                raise ValueError(f"index {T} is not positive semidefinite")
             if m + n > bound:
-                raise ValueError(f"index {(m, n, r)} exceeds the trace bound {bound}")
+                raise ValueError(f"index {T} exceeds the trace bound {bound}")
             # a zero stays until the end, so a later line at its index is a duplicate
             zeros = zeros or not v
-            coeffs[key] = v
+            coeffs[T] = v
         if zeros:
             coeffs = {T: v for T, v in coeffs.items() if v}
         return cls._raw(weight, bound, coeffs, p)

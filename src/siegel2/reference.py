@@ -12,7 +12,7 @@ compare every built coefficient in this range against the table.
 
 from __future__ import annotations
 
-from .qexp import TIndex, iter_l2_indices
+from .qexp import iter_l2_indices
 
 __all__ = ["X35_LOW_TRACE", "MIN_MATRIX_REFERENCE", "x35_reference_violations"]
 
@@ -147,7 +147,7 @@ MIN_MATRIX_REFERENCE: dict[str, tuple[int, int, int]] = {
 }
 
 
-def x35_reference_violations(x35) -> list[tuple[TIndex, int, object]]:
+def x35_reference_violations(x35) -> list[tuple[tuple, int, object]]:
     """Compare an expansion against the golden table at every trace <= 9 index.
 
     Returns (index, expected, actual) triples; empty means exact agreement,
@@ -157,7 +157,7 @@ def x35_reference_violations(x35) -> list[tuple[TIndex, int, object]]:
         raise ValueError("reference comparison needs a trace bound >= 9")
     out = []
     for T in iter_l2_indices(9):
-        want = X35_LOW_TRACE.get(tuple(T), 0)
+        want = X35_LOW_TRACE.get(T, 0)
         got = x35.coefficient(T)
         if got != want:
             out.append((T, want, got))

@@ -11,7 +11,7 @@ import pytest
 from siegel2.cli import main
 from siegel2.congruence import sturm_even, sturm_odd, verify_theta_mod5, verify_x35_mod23
 from siegel2.igusa import GeneratorSet, cache_path, save_generator_set
-from siegel2.qexp import Expansion, TIndex
+from siegel2.qexp import Expansion
 
 PINNED = {
     "even_certified": (
@@ -176,28 +176,28 @@ def _bump(form, T):
 # case -> certificate, from the trace-12 and the trace-5 generator sets
 CASES = {
     "even_certified": lambda g, s: sturm_even(
-        g.x12.scale(5).reduce_mod(5), 12, name="5*X12 mod 5"
+        g.atom("X12").scale(5).reduce_mod(5), 12, name="5*X12 mod 5"
     ),
-    "even_refuted": lambda g, s: sturm_even(g.x4.reduce_mod(5), 4),
+    "even_refuted": lambda g, s: sturm_even(g.atom("X4").reduce_mod(5), 4),
     "even_insufficient": lambda g, s: sturm_even(
         Expansion(12, 1, {}, modulus=5), 12, assumptions=["a demo assumption"]
     ),
     "odd_certified": lambda g, s: sturm_odd(
-        g.x35.scale(23).reduce_mod(23), 35, name="23*X35 mod 23"
+        g.atom("X35").scale(23).reduce_mod(23), 35, name="23*X35 mod 23"
     ),
-    "odd_refuted": lambda g, s: sturm_odd(g.x35.reduce_mod(7), 35),
+    "odd_refuted": lambda g, s: sturm_odd(g.atom("X35").reduce_mod(7), 35),
     "odd_insufficient": lambda g, s: sturm_odd(
-        s.x35.reduce_mod(23).theta(), 59, name="theta(X35) mod 23"
+        s.atom("X35").reduce_mod(23).theta(), 59, name="theta(X35) mod 23"
     ),
     "x35_certified": lambda g, s: verify_x35_mod23(g),
     "x35_insufficient_small": lambda g, s: verify_x35_mod23(s),
     "x35_refuted": lambda g, s: verify_x35_mod23(
-        GeneratorSet({**g.forms, "X35": _bump(g.x35, TIndex(2, 3, 0))}, g.trace_bound)
+        GeneratorSet({**g.forms, "X35": _bump(g.atom("X35"), (2, 3, 0))}, g.trace_bound)
     ),
     "theta5_certified": lambda g, s: verify_theta_mod5(g),
     "theta5_insufficient": lambda g, s: verify_theta_mod5(s),
     "theta5_refuted": lambda g, s: verify_theta_mod5(
-        GeneratorSet({**g.forms, "X12": _bump(g.x12, TIndex(2, 3, 1))}, g.trace_bound)
+        GeneratorSet({**g.forms, "X12": _bump(g.atom("X12"), (2, 3, 1))}, g.trace_bound)
     ),
 }
 

@@ -213,7 +213,7 @@ def test_cache_file_whose_header_contradicts_its_name_is_refused(
     save_generator_set(genset_small, tmp_path)
     path = cache_path(tmp_path, name, 5)
     if name == "X4":
-        path.write_text(genset_small.x4.reduce_mod(23).to_text())
+        path.write_text(genset_small.atom("X4").reduce_mod(23).to_text())
     else:
         path.write_text(path.read_text().replace("qexp 10 5 ", "qexp 12 5 ", 1))
     status, out, err = run(

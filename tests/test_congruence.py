@@ -20,22 +20,23 @@ from siegel2.congruence import (
     verify_theta_mod5,
 )
 from siegel2.igusa import GeneratorSet
-from siegel2.qexp import Expansion, TIndex, order_key
+from indices import index_add
+from siegel2.qexp import Expansion, order_key
 from siegel2.reference import MIN_MATRIX_REFERENCE
 
 # ----- p-minimum matrix -----------------------------------------------------
 
 
 def test_min_matrix_examples(genset):
-    assert min_matrix(genset.x35.reduce_mod(23)) == TIndex(2, 3, -1)
-    assert min_matrix(genset.x10.reduce_mod(7)) == TIndex(1, 1, -1)
+    assert min_matrix(genset.atom("X35").reduce_mod(23)) == (2, 3, -1)
+    assert min_matrix(genset.atom("X10").reduce_mod(7)) == (1, 1, -1)
 
 
 def test_min_matrix_reference_table(genset):
     for p in (5, 7, 11, 13, 23):
         for name, want in MIN_MATRIX_REFERENCE.items():
             got = min_matrix(genset.atom(name).reduce_mod(p))
-            assert got == TIndex(*want), (name, p)
+            assert got == want, (name, p)
 
 
 def test_min_matrix_zero_is_infinity():
@@ -45,11 +46,11 @@ def test_min_matrix_zero_is_infinity():
 
 def test_min_matrix_requires_reduction(genset_small):
     with pytest.raises(ValueError):
-        min_matrix(genset_small.x4)
+        min_matrix(genset_small.atom("X4"))
 
 
 def test_min_matrix_is_order_minimal(genset):
-    F = genset.x35.reduce_mod(23)
+    F = genset.atom("X35").reduce_mod(23)
     mk = order_key(min_matrix(F))
     assert all(order_key(T) >= mk for T in F.support())
 
@@ -58,9 +59,9 @@ def test_min_matrix_is_order_minimal(genset):
 
 
 def test_sturm_bound_even_values():
-    assert sturm_bound_even(12, 5) == TIndex(1, 1, 2)
-    assert sturm_bound_even(4, 5) == TIndex(0, 0, 0)
-    assert sturm_bound_even(40, 7) == TIndex(4, 4, 8)
+    assert sturm_bound_even(12, 5) == (1, 1, 2)
+    assert sturm_bound_even(4, 5) == (0, 0, 0)
+    assert sturm_bound_even(40, 7) == (4, 4, 8)
     with pytest.raises(ValueError):
         sturm_bound_even(35, 5)
     with pytest.raises(ValueError):
@@ -68,9 +69,9 @@ def test_sturm_bound_even_values():
 
 
 def test_sturm_bound_odd_values():
-    assert sturm_bound_odd(35, 23) == TIndex(2, 3, -1)
-    assert sturm_bound_odd(59, 23) == TIndex(4, 5, 3)
-    assert sturm_bound_odd(45, 5) == TIndex(3, 4, 1)
+    assert sturm_bound_odd(35, 23) == (2, 3, -1)
+    assert sturm_bound_odd(59, 23) == (4, 5, 3)
+    assert sturm_bound_odd(45, 5) == (3, 4, 1)
     with pytest.raises(ValueError):
         sturm_bound_odd(34, 23)
     with pytest.raises(ValueError):
@@ -84,10 +85,10 @@ def test_inclusion_check():
     # properly from k = 20 on: (t+1, 0, 0) precedes it from outside the box
     for k in (10, 12, 20, 30, 59):
         t = k // 10
-        bound, box = TIndex(t, t, 2 * t), set(_box_region(t))
+        bound, box = (t, t, 2 * t), set(_box_region(t))
         assert box <= set(_order_region(bound))
         if k >= 20:
-            w = TIndex(t + 1, 0, 0)
+            w = (t + 1, 0, 0)
             assert order_key(w) < order_key(bound) and w not in box
 
 
@@ -95,28 +96,28 @@ def test_inclusion_check():
 
 
 def test_sturm_even_certifies_zero(genset):
-    F = genset.x12.scale(5).reduce_mod(5)
+    F = genset.atom("X12").scale(5).reduce_mod(5)
     cert = sturm_even(F, 12, name="5*X12 mod 5")
     assert cert.verdict == CERTIFIED
-    assert cert.bound_matrix == TIndex(1, 1, 2)
+    assert cert.bound_matrix == (1, 1, 2)
     assert cert.trace_checked == 2
     assert cert.witness is None
 
 
 def test_sturm_even_refutes_with_witness(genset):
-    cert = sturm_even(genset.x4.reduce_mod(5), 4)
+    cert = sturm_even(genset.atom("X4").reduce_mod(5), 4)
     assert cert.verdict == REFUTED
-    assert cert.witness == TIndex(0, 0, 0)  # constant term 1
+    assert cert.witness == (0, 0, 0)  # constant term 1
 
 
 def test_sturm_even_methods_agree(genset):
     # the box criterion and a scan of every index up to the bound matrix
     # imply each other, so their verdicts and first witnesses agree
     cases = [
-        (genset.x12.scale(5).reduce_mod(5), 12),
-        (genset.x4.reduce_mod(5), 4),
-        (genset.x10.reduce_mod(7), 10),
-        ((genset.x4 * genset.x6).scale(7).reduce_mod(7), 10),
+        (genset.atom("X12").scale(5).reduce_mod(5), 12),
+        (genset.atom("X4").reduce_mod(5), 4),
+        (genset.atom("X10").reduce_mod(7), 10),
+        ((genset.atom("X4") * genset.atom("X6")).scale(7).reduce_mod(7), 10),
     ]
     for F, k in cases:
         cert = sturm_even(F, k)
@@ -137,22 +138,23 @@ def test_sturm_even_insufficient():
 
 
 def test_sturm_odd_refutes_x35_mod7(genset):
-    cert = sturm_odd(genset.x35.reduce_mod(7), 35)
+    cert = sturm_odd(genset.atom("X35").reduce_mod(7), 35)
     assert cert.verdict == REFUTED
-    assert cert.witness == TIndex(2, 3, -1)
-    assert cert.bound_matrix == TIndex(2, 3, -1)
+    assert cert.witness == (2, 3, -1)
+    assert cert.bound_matrix == (2, 3, -1)
 
 
 def test_sturm_odd_certifies_theta_image(genset):
-    theta_image = genset.x35.reduce_mod(23).theta().with_weight(59)
+    F = genset.atom("X35").reduce_mod(23).theta()
+    theta_image = Expansion(59, F.trace_bound, F.coeffs, F.modulus)
     cert = sturm_odd(theta_image, 59, name="theta(X35) mod 23")
     assert cert.verdict == CERTIFIED
-    assert cert.bound_matrix == TIndex(4, 5, 3)
+    assert cert.bound_matrix == (4, 5, 3)
     assert cert.trace_checked == 9
 
 
 def test_sturm_odd_insufficient(genset_small):
-    theta_image = genset_small.x35.reduce_mod(23).theta()
+    theta_image = genset_small.atom("X35").reduce_mod(23).theta()
     cert = sturm_odd(theta_image, 59)
     assert cert.verdict == INSUFFICIENT
 
@@ -164,7 +166,7 @@ def test_x35_mod23_certified(genset):
     cert = verify_x35_mod23(gen=genset)
     assert cert.verdict == CERTIFIED
     assert cert.witness is None
-    assert cert.bound_matrix == TIndex(4, 5, 3)
+    assert cert.bound_matrix == (4, 5, 3)
     assert cert.trace_checked == 12
     assert len(cert.checks) == 4 and all(c.passed for c in cert.checks)
     assert any("existence" in a for a in cert.assumptions)
@@ -175,20 +177,20 @@ def test_x35_mod23_insufficient(genset_small):
 
 
 def test_x35_mod23_refutes_faulty_input(genset):
-    coeffs = dict(genset.x35.coeffs)
-    coeffs[TIndex(2, 3, 0)] = 1  # 4*det = 24, not divisible by 23
+    coeffs = dict(genset.atom("X35").coeffs)
+    coeffs[(2, 3, 0)] = 1  # 4*det = 24, not divisible by 23
     x35 = Expansion(35, genset.trace_bound, coeffs)
     bad = GeneratorSet({**genset.forms, "X35": x35}, genset.trace_bound)
     cert = verify_x35_mod23(bad)
     assert cert.verdict == REFUTED
-    assert cert.witness == TIndex(2, 3, 0)
+    assert cert.witness == (2, 3, 0)
     assert not all(c.passed for c in cert.checks)
 
 
 def test_theta_mod5_certified(genset):
     cert = verify_theta_mod5(genset)
     assert cert.verdict == CERTIFIED
-    assert cert.bound_matrix == TIndex(1, 1, 2)
+    assert cert.bound_matrix == (1, 1, 2)
     assert cert.trace_checked == 10
     assert cert.prime == 5
 
@@ -202,19 +204,19 @@ def test_theta_mod5_insufficient(genset_small):
 
 def assert_minmat_additive(F, G):
     """m_p(F*G) = m_p(F) + m_p(G), for factors whose minima sum inside the bound."""
-    total = min_matrix(F) + min_matrix(G)
-    assert total.trace <= min(F.trace_bound, G.trace_bound)
+    m, n, r = total = index_add(min_matrix(F), min_matrix(G))
+    assert m + n <= min(F.trace_bound, G.trace_bound)
     assert min_matrix(F * G) == total
 
 
 def test_minmat_additivity_examples(genset):
-    assert_minmat_additive(genset.x10.reduce_mod(23), genset.x12.reduce_mod(23))
-    assert_minmat_additive(genset.x35.reduce_mod(7), genset.x35.reduce_mod(7))
+    assert_minmat_additive(genset.atom("X10").reduce_mod(23), genset.atom("X12").reduce_mod(23))
+    assert_minmat_additive(genset.atom("X35").reduce_mod(7), genset.atom("X35").reduce_mod(7))
 
 
 def test_minmat_additivity_random_products(genset):
     rng = random.Random(23)
-    atoms = [genset.x4, genset.x6, genset.x10, genset.x12]
+    atoms = [genset.atom("X4"), genset.atom("X6"), genset.atom("X10"), genset.atom("X12")]
     for _ in range(10):
         p = rng.choice((5, 7, 11, 13, 23))
         F = rng.choice(atoms).reduce_mod(p)
@@ -238,7 +240,7 @@ def test_certificate_text_is_deterministic(genset):
 
 def test_certificate_text_shape():
     cert = Certificate("demo claim", 7, None, None, None, verdict=REFUTED,
-                       witness=TIndex(1, 1, 0))
+                       witness=(1, 1, 0))
     text = cert.to_text()
     assert text == (
         "certificate: demo claim\n"

@@ -9,6 +9,7 @@ direct enumeration, with no shared code or number theory.
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -32,7 +33,7 @@ from siegel2.igusa import (
     siegel_eisenstein,
 )
 from siegel2.numtheory import bernoulli
-from siegel2.qexp import Expansion, TIndex, iter_l2_indices
+from siegel2.qexp import Expansion, iter_l2_indices
 from siegel2.reference import MIN_MATRIX_REFERENCE, X35_LOW_TRACE, x35_reference_violations
 
 # ----- E8 lattice oracle ----------------------------------------------------
@@ -108,6 +109,7 @@ def test_maass_lift_matches_the_divisor_sum(k):
     rng = random.Random(k)
     values = {D: Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for D in range(8 * 8 + 1)}
     F = maass_lift(values.__getitem__, k, 8)
+    assert all(type(T) is tuple for T in F.coeffs)
     assert F.coefficient((0, 0, 0)) == -bernoulli(k) / (2 * k) * values[0]
     contents = set()
     for m in range(9):
@@ -152,7 +154,7 @@ def test_family_validation_catches_corruption(monkeypatch):
         if k != 8:
             return F
         wrong = dict(F.coeffs)
-        wrong[TIndex(1, 0, 0)] = wrong[TIndex(1, 0, 0)] + 1
+        wrong[1, 0, 0] += 1
         return Expansion(8, bound, wrong)
 
     monkeypatch.setattr(ig, "siegel_eisenstein", corrupted)
@@ -164,7 +166,7 @@ def test_family_validation_catches_corruption(monkeypatch):
 
 
 def test_x10_x12_normalizations(genset_small):
-    x10, x12 = genset_small.x10, genset_small.x12
+    x10, x12 = genset_small.atom("X10"), genset_small.atom("X12")
     assert x10.weight == 10 and x12.weight == 12
     assert x10.coefficient((1, 1, 1)) == 1
     assert x10.coefficient((1, 1, -1)) == 1
@@ -175,9 +177,30 @@ def test_x10_x12_normalizations(genset_small):
 
 
 def test_cusp_forms_vanish_on_singular_indices(genset_small):
-    for F in (genset_small.x10, genset_small.x12, genset_small.x35):
+    for F in (genset_small.atom("X10"), genset_small.atom("X12"), genset_small.atom("X35")):
         for T in F.support():
-            assert T.fourdet > 0, (F.weight, T)
+            m, n, r = T
+            assert 4 * m * n - r * r > 0, (F.weight, T)
+
+
+@pytest.mark.parametrize("extra, named", [
+    ({(1, 0, 0): 1}, (1, 0, 0)),
+    # dict order puts (2, 0, 0) first; the index order puts (1, 1, 2) first
+    ({(2, 0, 0): 3, (1, 1, 2): -1}, (1, 1, 2)),
+], ids=["one", "least-in-index-order"])
+def test_build_refuses_a_cusp_form_with_a_rank1_coefficient(monkeypatch, extra, named):
+    import siegel2.igusa as ig
+
+    real = ig.build_x10_x12
+
+    def corrupted(bound):
+        x10, x12 = real(bound)
+        return Expansion(10, bound, {**extra, **x10.coeffs}), x12
+
+    monkeypatch.setattr(ig, "build_x10_x12", corrupted)
+    message = f"X10 has a nonzero rank<=1 coefficient at {named}"
+    with pytest.raises(ConstructionError, match=re.escape(message)):
+        build_generator_set(5)
 
 
 def cusp_projection(basis, conditions):
@@ -201,19 +224,19 @@ def test_x10_x12_equal_the_cusp_projections(genset):
     e4, e6, fam = genset.eisenstein[4], genset.eisenstein[6], genset.eisenstein
     x10 = cusp_projection([e4 * e6, fam[10]], [(0, 0, 0), (1, 1, 1)])
     x12 = cusp_projection([e4 * e4 * e4, e6 * e6, fam[12]], [(0, 0, 0), (1, 0, 0), (1, 1, 1)])
-    assert x10 == genset.x10
-    assert x12 == genset.x12
+    assert x10 == genset.atom("X10")
+    assert x12 == genset.atom("X12")
 
 
 # ----- the odd generator ----------------------------------------------------
 
 
 def test_x35_matches_reference_table(genset):
-    assert x35_reference_violations(genset.x35) == []
+    assert x35_reference_violations(genset.atom("X35")) == []
 
 
 def test_x35_normalization_and_witness(genset_small):
-    x35 = genset_small.x35
+    x35 = genset_small.atom("X35")
     assert x35.weight == 35
     assert x35.coefficient((2, 3, -1)) == 1
     assert x35.coefficient((2, 3, 1)) == -1
@@ -221,19 +244,19 @@ def test_x35_normalization_and_witness(genset_small):
 
 
 def test_x35_vanishing_witness(genset):
-    T = TIndex(1, 6, 1)
-    assert T.fourdet == 23
-    assert genset.x35.coefficient(T) == 0
+    m, n, r = T = (1, 6, 1)
+    assert 4 * m * n - r * r == 23
+    assert genset.atom("X35").coefficient(T) == 0
 
 
 def test_x35_odd_weight_forced_zeros(genset):
-    x35 = genset.x35
+    x35 = genset.atom("X35")
     for T in iter_l2_indices(x35.trace_bound):
         if T[0] == T[1] or T[2] == 0:
             assert x35.coefficient(T) == 0, T
 
 
-def symmetry_check(F: Expansion) -> list[tuple[TIndex, str, object, object]]:
+def symmetry_check(F: Expansion) -> list[tuple[tuple, str, object, object]]:
     """Check unimodular covariance a(T) = det(U)^k a(U^T T U) inside the bound.
 
     U ranges over the swap (m <-> n), the r-negation (both determinant -1)
@@ -252,11 +275,11 @@ def symmetry_check(F: Expansion) -> list[tuple[TIndex, str, object, object]]:
         m, n, r = T
         a = F.coefficient(T)
         for label, T2, s in (
-            ("swap", TIndex(n, m, r), sign),
-            ("negate-r", TIndex(m, n, -r), sign),
-            ("shear", TIndex(m, m + n + r, 2 * m + r), 1),
+            ("swap", (n, m, r), sign),
+            ("negate-r", (m, n, -r), sign),
+            ("shear", (m, m + n + r, 2 * m + r), 1),
         ):
-            if T2.trace > bound:
+            if T2[0] + T2[1] > bound:
                 continue
             expect = s * F.coefficient(T2)
             if p is not None:
@@ -270,7 +293,7 @@ def test_symmetry_check_flags_violations():
     # even weight: a((m,n,r)) must equal a((m,n,-r))
     F = Expansion(4, 2, {(1, 1, 1): 1, (1, 1, -1): 2})
     bad = symmetry_check(F)
-    assert bad and all(v[0].trace <= 2 for v in bad)
+    assert bad and all(m + n <= 2 for (m, n, _), *_ in bad)
     G = Expansion(4, 2, {(1, 1, 1): 1, (1, 1, -1): 1})
     assert symmetry_check(G) == []
     with pytest.raises(ValueError):
@@ -390,11 +413,12 @@ def x35_oracle(forms):
     rows = [[f.scale(f.weight) for f in forms]]
     rows += [[f.derivative(axis) for f in forms] for axis in ("11", "12", "22")]
     det = det4_oracle(rows)
-    return det.scale(Fraction(1) / det.coefficient((2, 3, -1))).with_weight(35)
+    F = det.scale(Fraction(1) / det.coefficient((2, 3, -1)))
+    return Expansion(35, F.trace_bound, F.coeffs, F.modulus)
 
 
 def test_x35_equals_the_determinant_oracle(genset):
-    assert x35_oracle((genset.x4, genset.x6, genset.x10, genset.x12)) == genset.x35
+    assert x35_oracle((genset.atom("X4"), genset.atom("X6"), genset.atom("X10"), genset.atom("X12"))) == genset.atom("X35")
 
 
 TOP = 2**64 - 1
@@ -412,7 +436,7 @@ def dense_columns(value, modulus=None, bound=7):
 def flip(T, j):
     """-1 on the block (j, 1) of column j, else 1: no two columns are then
     proportional, and the determinant does not vanish."""
-    return -1 if (T.m, T.n) == (j, 1) else 1
+    return -1 if T[:2] == (j, 1) else 1
 
 
 # every coefficient at the top of its range fills the slots of the packed
@@ -429,12 +453,12 @@ def test_build_x35_on_dense_extreme_operands(forms):
 def test_build_x35_takes_rational_and_mod_p_operands(genset9):
     # the determinant is linear in each column, so the normalization
     # cancels a scaled operand, and reduction mod p commutes with it
-    x4, x6, x10, x12 = (genset9.x4, genset9.x6, genset9.x10, genset9.x12)
-    assert build_x35(x4, x6, x10.scale(Fraction(1, 2)), x12) == genset9.x35
-    assert build_x35(x4, x6.scale(Fraction(3, 7)), x10, x12.scale(Fraction(-1, 2))) == genset9.x35
+    x4, x6, x10, x12 = (genset9.atom("X4"), genset9.atom("X6"), genset9.atom("X10"), genset9.atom("X12"))
+    assert build_x35(x4, x6, x10.scale(Fraction(1, 2)), x12) == genset9.atom("X35")
+    assert build_x35(x4, x6.scale(Fraction(3, 7)), x10, x12.scale(Fraction(-1, 2))) == genset9.atom("X35")
     for p in (23, 7):
         reduced = [f.reduce_mod(p) for f in (x4, x6, x10, x12)]
-        assert build_x35(*reduced) == genset9.x35.reduce_mod(p)
+        assert build_x35(*reduced) == genset9.atom("X35").reduce_mod(p)
 
 
 def test_build_x35_requires_trace_five():
@@ -453,7 +477,7 @@ def test_build_generator_set_rejects_small_bound():
 
 
 def test_generator_set_atom(genset_small):
-    assert genset_small.atom("X4") == genset_small.x4
+    assert genset_small.atom("X4") == genset_small.atom("X4")
     assert genset_small.atom("E8") == genset_small.eisenstein[8]
     with pytest.raises(KeyError):
         genset_small.atom("X5")
@@ -476,7 +500,7 @@ def test_ensure_generator_set_uses_cache(tmp_path):
     assert not cached1
     gen2, cached2 = ensure_generator_set(5, tmp_path)
     assert cached2
-    assert gen1.x35 == gen2.x35
+    assert gen1.atom("X35") == gen2.atom("X35")
 
 
 def test_load_rejects_bound_mismatch(tmp_path, genset_small):
