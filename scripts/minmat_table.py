@@ -4,16 +4,17 @@ Usage:
 
     python3 scripts/minmat_table.py [--trace-bound N] [--cache-dir DIR]
 
-Each generator's minimum is checked against the expected table.  Exit
-status: 0 all match, 1 any mismatch, 2 a usage error, reported as
-`error: ...` on stderr: a trace bound below 5 or above the cap of
-`siegel2`, or a cache file whose header contradicts its name.
+The cache directory defaults to the one of `siegel2`: $SIEGEL2_CACHE_DIR,
+else ./.siegel2-cache.  Each generator's minimum is checked against the
+expected table.  Exit status: 0 all match, 1 any mismatch, 2 a usage
+error, reported as `error: ...` on stderr: a trace bound below 5 or above
+the cap of `siegel2`, or a cache file whose header contradicts its name.
 """
 
 import argparse
 import sys
 
-from siegel2.cli import USAGE_ERRORS, check_trace_bound
+from siegel2.cli import USAGE_ERRORS, _cache_dir, check_trace_bound
 from siegel2.congruence import min_matrix
 from siegel2.igusa import ensure_generator_set
 from siegel2.reference import MIN_MATRIX_REFERENCE
@@ -32,7 +33,7 @@ def main(argv=None) -> int:
     failures = 0
     try:
         check_trace_bound(args.trace_bound)
-        gen, _ = ensure_generator_set(args.trace_bound, args.cache_dir)
+        gen, _ = ensure_generator_set(args.trace_bound, _cache_dir(args.cache_dir))
         # a cached form's file is read and checked on its first use, here
         for name, want in MIN_MATRIX_REFERENCE.items():
             row = [name]

@@ -63,6 +63,11 @@ USAGE_ERRORS = (ConstructionError, ValueError, OSError)
 _VERDICT_STATUS = {CERTIFIED: 0, REFUTED: 1, INSUFFICIENT: 2}
 
 
+def _cache_dir(given):
+    """--cache-dir when given, else $SIEGEL2_CACHE_DIR, else ./.siegel2-cache."""
+    return os.environ.get(ENV_CACHE_DIR, ".siegel2-cache") if given is None else given
+
+
 def check_trace_bound(trace_bound: int) -> None:
     if trace_bound > MAX_TRACE_BOUND:
         raise ValueError(f"trace bound {trace_bound} exceeds the maximum {MAX_TRACE_BOUND}")
@@ -271,8 +276,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         check_trace_bound(args.trace_bound)
-        if args.cache_dir is None:
-            args.cache_dir = os.environ.get(ENV_CACHE_DIR, ".siegel2-cache")
+        args.cache_dir = _cache_dir(args.cache_dir)
         return args.func(args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

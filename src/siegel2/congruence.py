@@ -14,6 +14,9 @@ divisible by the weight-35 generator and the criterion tightens to the
 set of indices preceding (t+2, t+3, 2t-1) with t = floor((k-35)/10).
 `sturm_even` and `sturm_odd` run one criterion body: the even one scans
 the box (`_box_region`), the odd one the order set (`_order_region`).
+Both verifiers run one theta-congruence routine, `_theta_checks`: a mod-p
+difference is scanned (`_scan_region`) on every index up to a trace, then
+the criterion of the weight's parity certifies that it vanishes identically.
 Every verifier emits a `Certificate`, a named tuple holding its
 `CheckRecord`s and assumptions, and never widens its hypotheses silently:
 an expansion whose trace bound cannot host the required region yields the
@@ -72,9 +75,9 @@ def _modulus_of(F: Expansion) -> int:
 def min_matrix(F: Expansion) -> tuple[int, int, int] | None:
     """Least index (in the (trace, m, r) order) with a nonzero residue, or
     None for infinity: F vanishes mod p up to its trace bound."""
-    p = _modulus_of(F)
-    support = [T for T, c in F.coeffs.items() if c % p]
-    return min(support, key=order_key) if support else None
+    _modulus_of(F)
+    # residues are stored canonical and nonzero: the support is the key set
+    return min(F.coeffs, key=order_key) if F.coeffs else None
 
 
 def _require_prime_ge5(p: int) -> None:
@@ -154,6 +157,10 @@ def _insufficient(claim, p, k, bound, trace, check, detail, assumptions=()) -> C
     )
 
 
+def _verdict(checks) -> str:
+    return CERTIFIED if all(c.passed for c in checks) else REFUTED
+
+
 def _box_region(t: int) -> list[tuple[int, int, int]]:
     """The box 0 <= m, n <= t of the even criterion, in the index order."""
     box = [
@@ -198,14 +205,10 @@ def _sturm(F: Expansion, k: int, bound, name: str, assumptions) -> Certificate:
         region = _order_region(bound)
         desc = f"a(T) = 0 mod {p} for every T up to the bound matrix"
     witness = _scan_region(F, region)
-    passed = witness is None
-    detail = f"indices={len(region)}" if passed else f"nonzero residue at {witness}"
+    detail = f"indices={len(region)}" if witness is None else f"nonzero residue at {witness}"
+    checks = [CheckRecord(desc, witness is None, detail)]
     return Certificate(
-        claim, p, k, bound, needed,
-        [CheckRecord(desc, passed, detail)],
-        list(assumptions),
-        CERTIFIED if passed else REFUTED,
-        witness,
+        claim, p, k, bound, needed, checks, list(assumptions), _verdict(checks), witness
     )
 
 
@@ -229,6 +232,26 @@ def theta_landing_assumption(k: int, p: int) -> str:
         f"coefficients is congruent mod {p} to some cusp form of weight {k + p + 1} "
         f"(used, not constructed)"
     )
+
+
+def _theta_checks(F: Expansion, k: int, trace: int, claim: str, miss: str):
+    """The theta-congruence pipeline of both verifiers: F, a mod-p difference,
+    must vanish at every index of trace <= `trace`, and the criterion of k's
+    parity then certifies it vanishes identically.  Returns (witness or None,
+    the criterion's bound matrix, [scan record named `claim`, criterion
+    record]); `miss` words the scan's witness."""
+    region = list(iter_l2_indices(trace))
+    witness = _scan_region(F, region)
+    criterion, parity = (sturm_odd, "odd") if k % 2 else (sturm_even, "even")
+    sub = criterion(F, k)
+    detail = f"indices={len(region)}" if witness is None else f"{miss} {witness}"
+    return witness, sub.bound_matrix, [
+        CheckRecord(claim, witness is None, detail),
+        CheckRecord(
+            f"{parity}-weight criterion at weight {k} with bound matrix {sub.bound_matrix}",
+            sub.verdict == CERTIFIED, f"verdict={sub.verdict}",
+        ),
+    ]
 
 
 _X35_CLAIM = "a(T; X35) = 0 mod 23 at every index with 4*det(T) not divisible by 23"
@@ -255,72 +278,39 @@ def verify_x35_mod23(gen) -> Certificate:
     short = x35_mod23_insufficient(gen.trace_bound)
     if short is not None:
         return short
-    p = 23
-    bound = gen.trace_bound
+    p, bound = 23, gen.trace_bound
     x35 = gen.atom("X35")
+    residues = x35.reduce_mod(p)
 
-    checks: list[CheckRecord] = []
-    assumptions = [theta_landing_assumption(35, p)]
-
-    # (a) theta pipeline: the theta image must vanish mod 23 up to trace 9 ...
-    theta_image = x35.reduce_mod(p).theta()
-    region9 = list(iter_l2_indices(9))
-    viol = _scan_region(theta_image, region9)
-    checks.append(
-        CheckRecord(
-            "theta image of X35 vanishes mod 23 at every index of trace <= 9",
-            viol is None,
-            f"indices={len(region9)}" if viol is None else f"nonzero at {viol}",
-        )
-    )
-    # ... and that finite region certifies it is identically zero at weight 59
-    sub = sturm_odd(
-        theta_image, 59, name="theta(X35) mod 23", assumptions=assumptions
-    )
-    checks.append(
-        CheckRecord(
-            f"odd-weight criterion at weight 59 with bound matrix {sub.bound_matrix}",
-            sub.verdict == CERTIFIED,
-            f"verdict={sub.verdict}",
-        )
+    # (a) theta pipeline at weight 59 = 35 + 23 + 1
+    witness, bound_matrix, checks = _theta_checks(
+        residues.theta(), 59, 9,
+        "theta image of X35 vanishes mod 23 at every index of trace <= 9", "nonzero at",
     )
 
-    # (b) direct scan of the exact coefficients up to the working bound
-    exempt = checked = 0
-    scan_witness = None
-    for T in iter_l2_indices(bound):
-        m, n, r = T
-        if (4 * m * n - r * r) % p == 0:
-            exempt += 1
-            continue
-        checked += 1
-        if scan_witness is None and x35.coefficient(T) % p:
-            scan_witness = T
-    checks.append(
-        CheckRecord(
-            f"direct scan to trace {bound}: coefficients vanish mod 23 off the divisibility locus",
-            scan_witness is None,
-            f"checked={checked}, exempt={exempt}"
-            + ("" if scan_witness is None else f", nonzero at {scan_witness}"),
-        )
-    )
-    witness = scan_witness if viol is None else viol
+    # (b) direct scan of the residues up to the working bound, off the locus 23 | 4*det(T)
+    indices = list(iter_l2_indices(bound))
+    off_locus = [(m, n, r) for m, n, r in indices if (4 * m * n - r * r) % p]
+    scan_witness = _scan_region(residues, off_locus)
+    checks.append(CheckRecord(
+        f"direct scan to trace {bound}: coefficients vanish mod 23 off the divisibility locus",
+        scan_witness is None,
+        f"checked={len(off_locus)}, exempt={len(indices) - len(off_locus)}"
+        + ("" if scan_witness is None else f", nonzero at {scan_witness}"),
+    ))
+    if witness is None:
+        witness = scan_witness
 
     # the converse direction fails: a zero coefficient on the divisibility locus
     m, n, r = cw = (1, 6, 1)
-    fourdet = 4 * m * n - r * r
-    converse_ok = x35.coefficient(cw) == 0 and fourdet % p == 0
-    checks.append(
-        CheckRecord(
-            "converse refuted: a((1,6,1)) = 0 although 4*det((1,6,1)) = 23",
-            converse_ok,
-            f"coefficient={x35.coefficient(cw)}, fourdet={fourdet}",
-        )
-    )
-
-    verdict = CERTIFIED if all(c.passed for c in checks) else REFUTED
+    a, fourdet = x35.coefficient(cw), 4 * m * n - r * r
+    checks.append(CheckRecord(
+        "converse refuted: a((1,6,1)) = 0 although 4*det((1,6,1)) = 23",
+        a == 0 and fourdet % p == 0, f"coefficient={a}, fourdet={fourdet}",
+    ))
     return Certificate(
-        _X35_CLAIM, p, 35, sub.bound_matrix, bound, checks, assumptions, verdict, witness
+        _X35_CLAIM, p, 35, bound_matrix, bound, checks,
+        [theta_landing_assumption(35, p)], _verdict(checks), witness,
     )
 
 
@@ -347,30 +337,12 @@ def verify_theta_mod5(gen) -> Certificate:
     short = theta_mod5_insufficient(gen.trace_bound)
     if short is not None:
         return short
-    p = 5
-    assumptions = [theta_landing_assumption(6, p)]
-    difference = gen.atom("X6").reduce_mod(p).theta() - gen.atom("X12").reduce_mod(p).scale(4)
-    region10 = list(iter_l2_indices(10))
-    witness = _scan_region(difference, region10)
-    checks = [
-        CheckRecord(
-            "theta(X6) and 4*X12 agree mod 5 at every index of trace <= 10",
-            witness is None,
-            f"indices={len(region10)}" if witness is None else f"disagree at {witness}",
-        )
-    ]
-    sub = sturm_even(
-        difference, 12, name="theta(X6) - 4*X12 mod 5", assumptions=assumptions
+    difference = gen.atom("X6").reduce_mod(5).theta() - gen.atom("X12").reduce_mod(5).scale(4)
+    witness, bound_matrix, checks = _theta_checks(
+        difference, 12, 10,
+        "theta(X6) and 4*X12 agree mod 5 at every index of trace <= 10", "disagree at",
     )
-    checks.append(
-        CheckRecord(
-            f"even-weight criterion at weight 12 with bound matrix {sub.bound_matrix}",
-            sub.verdict == CERTIFIED,
-            f"verdict={sub.verdict}",
-        )
-    )
-    verdict = CERTIFIED if all(c.passed for c in checks) else REFUTED
     return Certificate(
-        _THETA_CLAIM, p, 12, sub.bound_matrix, 10, checks, assumptions, verdict, witness
+        _THETA_CLAIM, 5, 12, bound_matrix, 10, checks,
+        [theta_landing_assumption(6, 5)], _verdict(checks), witness,
     )
-

@@ -333,8 +333,12 @@ def save_generator_set(gen: GeneratorSet, cache_dir) -> list[Path]:
 
 def _load_form(name: str, path: Path, trace_bound: int) -> Expansion:
     """Read one cache file and check it against its name (see
-    `load_generator_set`); a mismatch raises ValueError naming the file."""
-    exp = Expansion.from_text(path.read_text())
+    `load_generator_set`); a mismatch or a line that does not parse raises
+    ValueError naming the file."""
+    try:
+        exp = Expansion.from_text(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"cache file {path}: {exc}") from None
     if exp.trace_bound != trace_bound:
         raise ValueError(f"cache file {path} has inconsistent trace bound")
     if exp.weight != ATOM_WEIGHTS[name] or exp.modulus is not None:
@@ -392,16 +396,14 @@ def load_generator_set(trace_bound: int, cache_dir) -> GeneratorSet | None:
     return GeneratorSet(_CacheForms(paths, trace_bound), trace_bound)
 
 
-def ensure_generator_set(trace_bound: int, cache_dir=None) -> tuple[GeneratorSet, bool]:
-    """Load from cache when complete, else build (and cache when a dir is given).
+def ensure_generator_set(trace_bound: int, cache_dir) -> tuple[GeneratorSet, bool]:
+    """Load from the cache directory when complete, else build and cache.
 
     Returns (generator_set, came_from_cache).
     """
-    if cache_dir is not None:
-        cached = load_generator_set(trace_bound, cache_dir)
-        if cached is not None:
-            return cached, True
+    cached = load_generator_set(trace_bound, cache_dir)
+    if cached is not None:
+        return cached, True
     gen = build_generator_set(trace_bound)
-    if cache_dir is not None:
-        save_generator_set(gen, cache_dir)
+    save_generator_set(gen, cache_dir)
     return gen, False

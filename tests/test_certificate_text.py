@@ -122,6 +122,35 @@ PINNED = {
         "witness: (2, 3, 0)\n"
         "verdict: Refuted\n"
     ),
+    # bumped off the locus past trace 9: only the direct scan sees it
+    "x35_refuted_off_locus": (
+        "certificate: a(T; X35) = 0 mod 23 at every index with 4*det(T) not divisible by 23\n"
+        "prime: 23\n"
+        "weight: 35\n"
+        "bound-matrix: (4, 5, 3)\n"
+        "trace-checked: 12\n"
+        "check: theta image of X35 vanishes mod 23 at every index of trace <= 9: pass [indices=431]\n"
+        "check: odd-weight criterion at weight 59 with bound matrix (4, 5, 3): pass [verdict=Certified]\n"
+        "check: direct scan to trace 12: coefficients vanish mod 23 off the divisibility locus: FAIL [checked=892, exempt=103, nonzero at (5, 6, 1)]\n"
+        "check: converse refuted: a((1,6,1)) = 0 although 4*det((1,6,1)) = 23: pass [coefficient=0, fourdet=23]\n"
+        "assumption: existence: the theta image of a weight-35 form with 23-integral coefficients is congruent mod 23 to some cusp form of weight 59 (used, not constructed)\n"
+        "witness: (5, 6, 1)\n"
+        "verdict: Refuted\n"
+    ),
+    # bumped on the locus (4*det = 92 = 4*23): exempt, so still certified
+    "x35_certified_on_locus_bump": (
+        "certificate: a(T; X35) = 0 mod 23 at every index with 4*det(T) not divisible by 23\n"
+        "prime: 23\n"
+        "weight: 35\n"
+        "bound-matrix: (4, 5, 3)\n"
+        "trace-checked: 12\n"
+        "check: theta image of X35 vanishes mod 23 at every index of trace <= 9: pass [indices=431]\n"
+        "check: odd-weight criterion at weight 59 with bound matrix (4, 5, 3): pass [verdict=Certified]\n"
+        "check: direct scan to trace 12: coefficients vanish mod 23 off the divisibility locus: pass [checked=892, exempt=103]\n"
+        "check: converse refuted: a((1,6,1)) = 0 although 4*det((1,6,1)) = 23: pass [coefficient=0, fourdet=23]\n"
+        "assumption: existence: the theta image of a weight-35 form with 23-integral coefficients is congruent mod 23 to some cusp form of weight 59 (used, not constructed)\n"
+        "verdict: Certified\n"
+    ),
     "theta5_refuted": (
         "certificate: theta(X6) = 4*X12 mod 5\n"
         "prime: 5\n"
@@ -193,6 +222,12 @@ CASES = {
     "x35_insufficient_small": lambda g, s: verify_x35_mod23(s),
     "x35_refuted": lambda g, s: verify_x35_mod23(
         GeneratorSet({**g.forms, "X35": _bump(g.atom("X35"), (2, 3, 0))}, g.trace_bound)
+    ),
+    "x35_refuted_off_locus": lambda g, s: verify_x35_mod23(
+        GeneratorSet({**g.forms, "X35": _bump(g.atom("X35"), (5, 6, 1))}, g.trace_bound)
+    ),
+    "x35_certified_on_locus_bump": lambda g, s: verify_x35_mod23(
+        GeneratorSet({**g.forms, "X35": _bump(g.atom("X35"), (4, 6, 2))}, g.trace_bound)
     ),
     "theta5_certified": lambda g, s: verify_theta_mod5(g),
     "theta5_insufficient": lambda g, s: verify_theta_mod5(s),

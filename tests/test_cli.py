@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -189,6 +190,9 @@ def test_coeff_rejects_bad_index(cli_cache, capsys):
     (["sturm", "X4 + 1", "--prime", 5], "error: weight mismatch in sum: 4 vs 0 (at position 3)\n"),
     (["sturm", "X4", "--prime", 3], "error: the vanishing criteria need p >= 5; got 3\n"),
     (["coeff", "X4", 1, 0, 0, "--prime", 4], "error: modulus 4 is not prime\n"),
+    (["coeff", "X4", 1, 0, 0, "--prime", 318665857834031151167461],
+     "error: cannot decide whether 318665857834031151167461 is prime: "
+     "the test is proved below 318665857834031151167461\n"),
     (["theta", "X4", "--prime", 2], "error: theta needs 4 invertible: p = 2 is not supported\n"),
     (["coeff", "1/5*X4", 1, 0, 0, "--prime", 5],
      "error: coefficient 1/5 at index (0, 0, 0) is not 5-integral\n"),
@@ -199,6 +203,18 @@ def test_coeff_rejects_bad_index_before_any_build(tmp_path, capsys, argv, messag
     status, out, err = run(capsys, *argv, "--trace-bound", 14, "--cache-dir", tmp_path)
     assert (status, out, err) == (2, "", message)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_17_digit_prime_is_accepted_at_once(genset_small, tmp_path, capsys):
+    # trial division spent about 12 s of CPU deciding this modulus
+    save_generator_set(genset_small, tmp_path)
+    start = time.process_time()
+    status, out, err = run(
+        capsys, "coeff", "X4", 1, 0, 0, "--prime", 10000000000000061,
+        "--trace-bound", 5, "--cache-dir", tmp_path,
+    )
+    assert (status, out, err) == (0, "a((1,0,0); X4) mod 10000000000000061 = 240\n", "")
+    assert time.process_time() - start < 1.0
 
 
 @pytest.mark.parametrize("name, expr, index, header", [
@@ -306,7 +322,7 @@ def test_zero_denominator_in_a_cache_file_is_refused(genset9, tmp_path, capsys):
     assert "\n2 3 1 -1 1\n" in text
     path.write_text(text.replace("\n2 3 1 -1 1\n", "\n2 3 1 -1 0\n"))
     assert run(capsys, "coeff", "X35", 2, 3, -1, "--trace-bound", 9, "--cache-dir", tmp_path) == (
-        2, "", "error: bad coefficient line: '2 3 1 -1 0'\n"
+        2, "", f"error: cache file {path}: bad coefficient line: '2 3 1 -1 0'\n"
     )
 
 

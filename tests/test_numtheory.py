@@ -323,6 +323,33 @@ def test_is_prime():
         assert is_prime(n) == (n in primes)
 
 
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    for n in range(10**5):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))), n
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # a strong pseudoprime to the bases 2, 3, 5 and 7
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 9746347772161,  # Carmichael
+    3825123056546413051,  # a strong pseudoprime to the first nine prime bases
+])
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [10000000000000061, 2**61 - 1, 2**64 - 59])
+def test_is_prime_accepts_large_primes(n):
+    assert is_prime(n)
+
+
+def test_is_prime_refuses_past_the_proved_range():
+    # the least strong pseudoprime to the first twelve prime bases
+    limit = 318665857834031151167461
+    assert not is_prime(limit - 1)
+    with pytest.raises(ValueError, match=f"cannot decide whether {limit} is prime"):
+        is_prime(limit)
+
+
 # ----- Cohen H ------------------------------------------------------------------
 
 

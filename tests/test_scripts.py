@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from siegel2.cli import MAX_TRACE_BOUND, main
+from siegel2.cli import ENV_CACHE_DIR, MAX_TRACE_BOUND, main
 from siegel2.igusa import CACHE_NAMES, cache_path, save_generator_set
 from siegel2.reference import MIN_MATRIX_REFERENCE
 
@@ -60,6 +60,18 @@ def test_minmat_table_prints_the_five_row_table(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         cache_path(tmp_path, name, 6).name for name in CACHE_NAMES
     )
+
+
+def test_minmat_table_uses_the_cache_directory_of_siegel2(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "env-cache"
+    monkeypatch.setenv(ENV_CACHE_DIR, str(cache))
+    monkeypatch.chdir(tmp_path)
+    assert load_script("minmat_table").main(["--trace-bound", "6"]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        cache_path(cache, name, 6).name for name in CACHE_NAMES
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["env-cache"]
 
 
 @pytest.mark.parametrize("name", ["reproduce_mod23", "minmat_table"])
