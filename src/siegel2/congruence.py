@@ -38,7 +38,6 @@ whose index has 4*det = 23.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import isqrt
 from typing import NamedTuple
 
 from .qexp import Expansion, iter_l2_indices, order_key
@@ -163,13 +162,7 @@ def _verdict(checks) -> str:
 
 def _box_region(t: int) -> list[tuple[int, int, int]]:
     """The box 0 <= m, n <= t of the even criterion, in the index order."""
-    box = [
-        (m, n, r)
-        for m in range(t + 1)
-        for n in range(t + 1)
-        for r in range(-isqrt(4 * m * n), isqrt(4 * m * n) + 1)
-    ]
-    return sorted(box, key=order_key)
+    return [T for T in iter_l2_indices(2 * t) if T[0] <= t and T[1] <= t]
 
 
 def _order_region(bound) -> list[tuple[int, int, int]]:

@@ -16,12 +16,18 @@ weights, a product adds them, and a power multiplies.  There is no
 division operator: "1/2" is a single literal token pair, "X4/X6" is a
 syntax error.
 
-Tree nodes are named tuples, told apart by `isinstance`; their equality
-is tuple equality, which does not see the node's class.
+A tree is made of one named tuple, `Node(op, args, weight)`.  `op` is
+"atom" or "num" for a leaf, whose `args` hold the name or the value, and
+otherwise the operator "neg", "+", "-", "*" or "^", whose `args` hold the
+operands (for "^" the base and the int exponent).  `eval_expr` applies
+each operator through one table, `_APPLY`, and walks the tree with a loop,
+so a sum or product of thousands of terms evaluates; the parser recurses
+only into parentheses, which may nest at most `MAX_NESTING` deep.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import NamedTuple
@@ -32,17 +38,16 @@ from .qexp import Expansion
 __all__ = [
     "ExprError",
     "ATOM_WEIGHTS",
-    "Atom",
-    "Number",
-    "Neg",
-    "Add",
-    "Sub",
-    "Mul",
-    "Pow",
+    "MAX_NESTING",
+    "Node",
     "parse",
     "literals",
     "eval_expr",
 ]
+
+# deeper parentheses are refused: each level costs the parser five frames
+MAX_NESTING = 100
+
 
 class ExprError(ValueError):
     """Parse or grading failure; carries the source position."""
@@ -52,43 +57,20 @@ class ExprError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
-class Atom(NamedTuple):
-    name: str
+class Node(NamedTuple):
+    op: str
+    args: tuple
     weight: int
 
 
-class Number(NamedTuple):
-    value: object  # int or Fraction, canonical
-    weight: int = 0
-
-
-class Neg(NamedTuple):
-    operand: object
-    weight: int
-
-
-class Add(NamedTuple):
-    left: object
-    right: object
-    weight: int
-
-
-class Sub(NamedTuple):
-    left: object
-    right: object
-    weight: int
-
-
-class Mul(NamedTuple):
-    left: object
-    right: object
-    weight: int
-
-
-class Pow(NamedTuple):
-    base: object
-    exponent: int
-    weight: int
+# the operators, applied to the values of their operands (and the exponent)
+_APPLY = {
+    "neg": operator.neg,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "^": operator.pow,
+}
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<int>\d+)|(?P<op>[-+*^()/]))")
@@ -116,145 +98,126 @@ class _Parser:
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
+        self.depth = 0  # open parentheses
 
     def take(self):
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
-    def expect_op(self, op: str):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise ExprError(f"expected {op!r}", pos)
-        return self.take()
+    def at(self, op: str) -> bool:
+        """Whether the next token is the operator `op`."""
+        return self.tokens[self.i][:2] == ("op", op)
 
     def parse(self):
         node = self.expr()
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tokens[self.i]
         if kind != "end":
             raise ExprError(f"unexpected trailing input {value!r}", pos)
         return node
 
     def expr(self):
         node = self.term()
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                rhs = self.term()
-                if node.weight != rhs.weight:
-                    raise ExprError(
-                        f"weight mismatch in sum: {node.weight} vs {rhs.weight}", pos
-                    )
-                cls = Add if value == "+" else Sub
-                node = cls(node, rhs, node.weight)
-            else:
-                return node
+        while self.at("+") or self.at("-"):
+            _, op, pos = self.take()
+            rhs = self.term()
+            if node.weight != rhs.weight:
+                raise ExprError(f"weight mismatch in sum: {node.weight} vs {rhs.weight}", pos)
+            node = Node(op, (node, rhs), node.weight)
+        return node
 
     def term(self):
         node = self.factor()
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "*":
-                self.take()
-                rhs = self.factor()
-                node = Mul(node, rhs, node.weight + rhs.weight)
-            elif kind == "op" and value == "/":
-                raise ExprError("there is no division operator", pos)
-            else:
-                return node
+        while self.at("*"):
+            self.take()
+            rhs = self.factor()
+            node = Node("*", (node, rhs), node.weight + rhs.weight)
+        if self.at("/"):
+            raise ExprError("there is no division operator", self.tokens[self.i][2])
+        return node
 
     def factor(self):
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "-":
+        signs = 0
+        while self.at("-"):
             self.take()
-            operand = self.factor()
-            return Neg(operand, operand.weight)
-        return self.power()
+            signs += 1
+        node = self.power()
+        for _ in range(signs):
+            node = Node("neg", (node,), node.weight)
+        return node
 
     def power(self):
         node = self.atom()
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "^":
+        if self.at("^"):
             self.take()
-            kind, value, pos = self.peek()
+            kind, value, pos = self.take()
             if kind != "int":
                 raise ExprError("exponent must be a non-negative integer literal", pos)
-            self.take()
-            e = int(value)
-            node = Pow(node, e, node.weight * e)
+            node = Node("^", (node, int(value)), node.weight * int(value))
         return node
 
     def atom(self):
         kind, value, pos = self.take()
         if kind == "name":
-            weight = ATOM_WEIGHTS.get(value)
-            if weight is None:
+            if value not in ATOM_WEIGHTS:
                 raise ExprError(f"unknown atom {value!r}", pos)
-            return Atom(value, weight)
+            return Node("atom", (value,), ATOM_WEIGHTS[value])
         if kind == "int":
             num = int(value)
-            kind2, value2, _ = self.peek()
-            if kind2 == "op" and value2 == "/":
+            if self.at("/"):
                 self.take()
-                kind3, value3, pos3 = self.peek()
-                if kind3 != "int":
-                    raise ExprError("rational literal needs an integer denominator", pos3)
-                self.take()
-                den = int(value3)
-                if den == 0:
-                    raise ExprError("zero denominator", pos3)
-                frac = Fraction(num, den)
-                return Number(int(frac) if frac.denominator == 1 else frac)
-            return Number(num)
+                kind, value, pos = self.take()
+                if kind != "int":
+                    raise ExprError("rational literal needs an integer denominator", pos)
+                if int(value) == 0:
+                    raise ExprError("zero denominator", pos)
+                frac = Fraction(num, int(value))
+                num = int(frac) if frac.denominator == 1 else frac
+            return Node("num", (num,), 0)
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             node = self.expr()
-            self.expect_op(")")
+            if not self.at(")"):
+                raise ExprError("expected ')'", self.tokens[self.i][2])
+            self.take()
+            self.depth -= 1
             return node
         raise ExprError(f"expected an atom, got {value!r}" if value else "unexpected end of input", pos)
 
 
-def parse(src: str):
+def parse(src: str) -> Node:
     """Parse a source string into a weight-annotated syntax tree."""
     return _Parser(src).parse()
 
 
-def literals(node):
+def _postorder(node: Node) -> list[Node]:
+    """The nodes of a tree, each after its operands, left to right."""
+    out, stack = [], [node]
+    while stack:
+        n = stack.pop()
+        out.append(n)
+        stack.extend(a for a in n.args if isinstance(a, Node))
+    return out[::-1]
+
+
+def literals(node: Node) -> list:
     """The values of the numeric literals of a tree, left to right."""
-    if isinstance(node, Number):
-        yield node.value
-    elif isinstance(node, Neg):
-        yield from literals(node.operand)
-    elif isinstance(node, Pow):
-        yield from literals(node.base)
-    elif isinstance(node, (Add, Sub, Mul)):
-        yield from literals(node.left)
-        yield from literals(node.right)
+    return [n.args[0] for n in _postorder(node) if n.op == "num"]
 
 
-def eval_expr(node, gen, modulus: int | None = None) -> Expansion:
+def eval_expr(node: Node, gen, modulus: int | None = None) -> Expansion:
     """Evaluate a tree against a generator set, optionally mod a prime."""
-    bound = gen.trace_bound
-
-    def ev(n) -> Expansion:
-        if isinstance(n, Atom):
-            exp = gen.atom(n.name)
-            return exp.reduce_mod(modulus) if modulus is not None else exp
-        if isinstance(n, Number):
-            return Expansion.constant(n.value, bound, modulus)
-        if isinstance(n, Neg):
-            return -ev(n.operand)
-        if isinstance(n, Add):
-            return ev(n.left) + ev(n.right)
-        if isinstance(n, Sub):
-            return ev(n.left) - ev(n.right)
-        if isinstance(n, Mul):
-            return ev(n.left) * ev(n.right)
-        if isinstance(n, Pow):
-            return ev(n.base) ** n.exponent
-        raise TypeError(f"not an expression node: {n!r}")
-
-    return ev(node)
+    values = []  # the values of the operands not yet consumed
+    for n in _postorder(node):
+        if n.op == "atom":
+            exp = gen.atom(n.args[0])
+            values.append(exp.reduce_mod(modulus) if modulus is not None else exp)
+        elif n.op == "num":
+            values.append(Expansion.constant(n.args[0], gen.trace_bound, modulus))
+        else:
+            k = len(n.args) - (n.op == "^")  # the exponent is an int, not an operand
+            operands = values[-k:]
+            del values[-k:]
+            values.append(_APPLY[n.op](*operands, *n.args[k:]))
+    return values.pop()

@@ -42,7 +42,6 @@ each row pair, then the six products, to the `qexp` product kernel.
 from __future__ import annotations
 
 import os
-from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
@@ -232,28 +231,33 @@ def build_x35(x4: Expansion, x6: Expansion, x10: Expansion, x12: Expansion) -> E
 class GeneratorSet:
     """The five ring generators plus the Eisenstein family they came from.
 
-    `forms` maps each of the ten cache names (E4..E12, X4..X35) to its
-    expansion.  A built set holds a dict.  A set loaded from the cache holds
-    a mapping that reads and checks each file the first time a caller asks
-    for its form, so a command reads only the files of the forms it uses.
-    A set with other forms is a new `GeneratorSet`, not an edited one.
+    `forms` maps cache names (E4..E12, X4..X35) to expansions.  A built set
+    holds all ten.  A set loaded by `load_generator_set` starts with an
+    empty `forms` and the paths of the ten cache files: `atom(name)` reads
+    and checks a file (`_load_form`) the first time a caller asks for its
+    form and keeps it in `forms`, so a command reads only the files of the
+    forms it uses.  A set with other forms is a new `GeneratorSet`, not an
+    edited one.
     """
 
-    __slots__ = ("forms", "trace_bound")
+    __slots__ = ("forms", "trace_bound", "_paths")
 
-    def __init__(self, forms: Mapping[str, Expansion], trace_bound: int):
+    def __init__(self, forms: dict[str, Expansion], trace_bound: int):
         self.forms = forms
         self.trace_bound = trace_bound
+        self._paths: dict[str, Path] = {}  # a loaded set: the cache file of each name
 
     @property
     def eisenstein(self) -> dict[int, Expansion]:
-        return {k: self.forms[f"E{k}"] for k in SUPPORTED_WEIGHTS}
+        return {k: self.atom(f"E{k}") for k in SUPPORTED_WEIGHTS}
 
     def generators(self) -> dict[str, Expansion]:
-        return {name: self.forms[name] for name in GENERATOR_NAMES}
+        return {name: self.atom(name) for name in GENERATOR_NAMES}
 
     def atom(self, name: str) -> Expansion:
         """Expansion for an atom name (X4..X35 or E4..E12); KeyError otherwise."""
+        if name not in self.forms:
+            self.forms[name] = _load_form(name, self._paths[name], self.trace_bound)
         return self.forms[name]
 
 
@@ -355,32 +359,11 @@ def _load_form(name: str, path: Path, trace_bound: int) -> Expansion:
     return exp
 
 
-class _CacheForms(Mapping):
-    """name -> Expansion over the ten cache files of one bound; each file is
-    read and checked by `_load_form` on its first lookup, then kept."""
-
-    def __init__(self, paths: dict[str, Path], trace_bound: int):
-        self._paths = paths
-        self._trace_bound = trace_bound
-        self._loaded: dict[str, Expansion] = {}
-
-    def __getitem__(self, name: str) -> Expansion:
-        if name not in self._loaded:
-            self._loaded[name] = _load_form(name, self._paths[name], self._trace_bound)
-        return self._loaded[name]
-
-    def __iter__(self):
-        return iter(self._paths)
-
-    def __len__(self) -> int:
-        return len(self._paths)
-
-
 def load_generator_set(trace_bound: int, cache_dir) -> GeneratorSet | None:
     """A cached build; None when any of the ten files is missing.
 
-    No file is read here: each one is read and checked the first time a
-    caller asks for its form (`gen.atom(name)`), so a
+    No file is read here: the set starts empty, and `gen.atom(name)` reads
+    and checks a file the first time a caller asks for its form, so a
     command reads only the files it uses.  Each file's header must match
     its name: the weight in the name (E10 -> 10, X35 -> 35), the rational
     domain and the trace bound.  The Siegel restriction of E4..E12, X4 and
@@ -393,7 +376,9 @@ def load_generator_set(trace_bound: int, cache_dir) -> GeneratorSet | None:
     paths = {name: cache_path(cache_dir, name, trace_bound) for name in CACHE_NAMES}
     if not all(p.is_file() for p in paths.values()):
         return None
-    return GeneratorSet(_CacheForms(paths, trace_bound), trace_bound)
+    gen = GeneratorSet({}, trace_bound)
+    gen._paths = paths
+    return gen
 
 
 def ensure_generator_set(trace_bound: int, cache_dir) -> tuple[GeneratorSet, bool]:

@@ -10,6 +10,7 @@ import pytest
 
 import siegel2
 from siegel2.cli import ENV_CACHE_DIR, MAX_TRACE_BOUND, main
+from siegel2.expr import MAX_NESTING
 from siegel2.igusa import CACHE_NAMES, cache_path, save_generator_set
 from siegel2.qexp import Expansion
 
@@ -196,6 +197,8 @@ def test_coeff_rejects_bad_index(cli_cache, capsys):
     (["theta", "X4", "--prime", 2], "error: theta needs 4 invertible: p = 2 is not supported\n"),
     (["coeff", "1/5*X4", 1, 0, 0, "--prime", 5],
      "error: coefficient 1/5 at index (0, 0, 0) is not 5-integral\n"),
+    (["dump", "(" * 400 + "X4" + ")" * 400, "--prime", 23],
+     f"error: parentheses nested deeper than {MAX_NESTING} (at position {MAX_NESTING})\n"),
     # ids: the argv after the expression, then the message
 ], ids=lambda case: "-".join(map(str, case[2:])) if isinstance(case, list) else case)
 def test_coeff_rejects_bad_index_before_any_build(tmp_path, capsys, argv, message):
@@ -332,6 +335,22 @@ def test_coeff_rejects_bad_expression(cli_cache, capsys):
     )
     assert status == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("expr, prime, same_as", [
+    ("+".join(["X4"] * 3000), None, "3000*X4"),
+    ("+".join(["X4"] * 900), None, "900*X4"),
+    ("*".join(["X4"] * 1000), 7, "X4^1000"),
+    ("*".join(["2"] * 2999 + ["X4"]), None, f"{2 ** 2999}*X4"),
+], ids=["sum-3000", "sum-900", "product-1000-mod-7", "literal-product-3000"])
+def test_long_sums_and_products_evaluate(genset_small, tmp_path, capsys, expr, prime, same_as):
+    # a tree thousands of nodes deep: the evaluator must not recurse on it
+    save_generator_set(genset_small, tmp_path)
+    argv = ["--format", "lines", "--trace-bound", 5, "--cache-dir", tmp_path]
+    argv += [] if prime is None else ["--prime", prime]
+    status, want, err = run(capsys, "coeff", same_as, 1, 1, 1, *argv)
+    assert status == 0 and err == ""
+    assert run(capsys, "coeff", expr, 1, 1, 1, *argv) == (0, want, "")
 
 
 # ----- minmat / theta / sturm / dump ----------------------------------------

@@ -4,17 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from siegel2.expr import (
-    Add,
-    Atom,
-    ExprError,
-    Mul,
-    Number,
-    Pow,
-    Sub,
-    eval_expr,
-    parse,
-)
+from siegel2.expr import MAX_NESTING, ExprError, eval_expr, literals, parse
+from siegel2.qexp import Expansion
 
 
 def test_weight_inference():
@@ -35,20 +26,20 @@ def test_weight_mismatch_is_positional():
 
 def test_precedence_shapes():
     tree = parse("X4*X6 + X10")
-    assert isinstance(tree, Add) and isinstance(tree.left, Mul)
+    assert tree.op == "+" and tree.args[0].op == "*"
     tree = parse("-X4^2 * X4")
     # unary minus binds looser than the power, tighter than '*every term'?
     # convention: '-' applies to the whole factor, so (-(X4^2)) * X4
-    assert isinstance(tree, Mul)
+    assert tree.op == "*"
     tree = parse("X4^3 - X6^2 + 2*X12")
-    assert isinstance(tree, Add) and isinstance(tree.left, Sub)
+    assert tree.op == "+" and tree.args[0].op == "-"
 
 
 def test_rational_literal():
     tree = parse("1/2*X10")
-    assert isinstance(tree, Mul) and isinstance(tree.left, Number)
-    assert tree.left.value == Fraction(1, 2)
-    assert parse("7").value == 7
+    assert tree.op == "*" and tree.args[0].op == "num"
+    assert tree.args[0].args[0] == Fraction(1, 2)
+    assert parse("7").args[0] == 7
 
 
 def test_round_trip_corpus():
@@ -118,8 +109,8 @@ def test_error_positions_point_at_offender():
 
 def test_pow_nodes_track_weight():
     tree = parse("X10^3")
-    assert isinstance(tree, Pow) and tree.weight == 30
-    assert isinstance(tree.base, Atom)
+    assert tree.op == "^" and tree.weight == 30
+    assert tree.args[0].op == "atom"
     assert parse("X4^0").weight == 0
 
 
@@ -127,3 +118,46 @@ def test_pow_zero_evaluates_to_one(genset_small):
     one = eval_expr(parse("X4^0"), genset_small)
     assert one.coefficient((0, 0, 0)) == 1
     assert one.support() == [(0, 0, 0)]
+
+
+def test_tree_equality_sees_the_operator():
+    assert parse("X4 - X4") != parse("X4 + X4")
+    assert parse("X4 * X4") != parse("X4 ^ 2")
+    assert parse("(X10 + X4*X6) - E10") == parse("X10+X4*X6-E10")
+
+
+@pytest.mark.parametrize("modulus", [None, 23])
+def test_every_operator_agrees_with_expansion_arithmetic(genset_small, modulus):
+    def atom(name):
+        form = genset_small.atom(name)
+        return form if modulus is None else form.reduce_mod(modulus)
+
+    def const(value):
+        return Expansion.constant(value, genset_small.trace_bound, modulus)
+
+    X4, X6, X10, X12, E10 = map(atom, ("X4", "X6", "X10", "X12", "E10"))
+    cases = {
+        "-(X4*X6) + X10 - 1/2*E10": -(X4 * X6) + X10 - const(Fraction(1, 2)) * E10,
+        "X4^3 - X6^2": X4 * X4 * X4 - X6 * X6,
+        "X10^0*X12": const(1) * X12,
+        "--X6": X6,
+        "2*X12 - -X12": const(3) * X12,
+    }
+    for src, want in cases.items():
+        got = eval_expr(parse(src), genset_small, modulus)
+        assert got == want, src
+        assert (got.weight, got.modulus) == (parse(src).weight, modulus), src
+
+
+def test_literals_in_source_order():
+    tree = parse("-3/4*X10^2 + 2*(X4*X6 - 1/3*E10)*X10")
+    assert list(literals(tree)) == [Fraction(3, 4), 2, Fraction(1, 3)]
+    assert list(literals(parse("X4^2"))) == []
+
+
+def test_deep_unary_minus_and_the_nesting_cap(genset_small):
+    assert eval_expr(parse("-" * 3001 + "X4"), genset_small) == -genset_small.atom("X4")
+    assert parse("(" * MAX_NESTING + "X4" + ")" * MAX_NESTING) == parse("X4")
+    with pytest.raises(ExprError) as err:
+        parse("(" * (MAX_NESTING + 1) + "X4" + ")" * (MAX_NESTING + 1))
+    assert err.value.position == MAX_NESTING
