@@ -209,10 +209,14 @@ def literals(node: Node) -> list:
 def eval_expr(node: Node, gen, modulus: int | None = None) -> Expansion:
     """Evaluate a tree against a generator set, optionally mod a prime."""
     values = []  # the values of the operands not yet consumed
+    atoms = {}  # each atom's value, reduced once however often it occurs
     for n in _postorder(node):
         if n.op == "atom":
-            exp = gen.atom(n.args[0])
-            values.append(exp.reduce_mod(modulus) if modulus is not None else exp)
+            name = n.args[0]
+            if name not in atoms:
+                exp = gen.atom(name)
+                atoms[name] = exp.reduce_mod(modulus) if modulus is not None else exp
+            values.append(atoms[name])
         elif n.op == "num":
             values.append(Expansion.constant(n.args[0], gen.trace_bound, modulus))
         else:

@@ -8,14 +8,16 @@ form of weight k and index 1, indexed by the discriminant D = 4n - r^2,
     a(0) = -B_k / (2k) * c(0).
 
 a(T) depends on T only through (4 det(T), content(T)), so `maass_lift`
-sums once per such pair.
+sums once per such pair, over integers with one denominator per lift;
+the lifts at one bound share the map from indices to pairs.
 The degree-2 Eisenstein series E_k (k = 4, 6, 8, 10, 12) lift
 c(D) = 2 / (zeta(1-k) zeta(3-2k)) * H(k-1, D) with Cohen's H, so
 a(0) = 1 and on rank-1 indices the lift degenerates to the classical
 -2k/B_k * sigma_{k-1}(content).  Every build cross-checks the family
 against the genus-1 series under the Siegel restriction and checks the
 one-dimensionality identity E4^2 = E8 exactly; a failure of either is a
-construction bug and raises instead of producing output.
+construction bug and raises instead of producing output, as does a
+failed check of `numtheory.h_series`, whose seeds are values of `cohen_h`.
 
 Generators and normalizations:
 
@@ -33,21 +35,28 @@ derivative transformation law cancel, so the determinant is a cusp form
 of weight 4+6+10+12+3 = 35.  All five generators have integer
 coefficients after normalization, which is enforced.
 
-The determinant is the Laplace expansion along its first two rows: the
-signed sum of six products of a 2x2 minor of the first two rows and the
-complementary minor of the last two.  `build_x35` hands the minors of
-each row pair, then the six products, to the `qexp` product kernel.
+The determinant is the Laplace expansion along the rows (k X, d12 X): the
+signed sum of six products of a 2x2 minor of those rows and the
+complementary minor of the rows (d11 X, d22 X).  The row order (k X,
+d12 X, d11 X, d22 X) negates the determinant; the normalization at
+(2, 3, -1) cancels the sign.  The swap sigma: (m, n, r) -> (n, m, r)
+fixes each modular even generator, so it fixes k X and d12 X and swaps
+d11 X and d22 X: the top minors are sigma-symmetric, the low minors and
+the six products antisymmetric.  `build_x35` hands the minors of each
+row pair, then the six products, to the `qexp` product kernel, with these
+parities when its four columns are sigma-symmetric.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from pathlib import Path
 
-from .numtheory import bernoulli, cohen_h, divisor_sigma, divisors
+from .numtheory import bernoulli, cohen_h, divisor_sigma, divisors, h_series
 from .qexp import Expansion, _canon, iter_l2_indices, order_key, product_sums
 
 __all__ = [
@@ -99,21 +108,38 @@ def genus1_eisenstein(k: int, trace_bound: int) -> list:
     return out
 
 
+@cache
+def _lift_keys(trace_bound: int):
+    """The index map of every lift at one bound: each index T != 0, in the
+    order of `iter_l2_indices`, with its key (4 det T, content T); and each
+    distinct key with the terms (4 det(T) / d^2, d) of its divisor sum."""
+    indices, keys = [], {}
+    for T in iter_l2_indices(trace_bound):
+        m, n, r = T
+        if m + n:
+            key = (4 * m * n - r * r, gcd(m, n, r))
+            if key not in keys:
+                keys[key] = [(key[0] // (d * d), d) for d in divisors(key[1])]
+            indices.append((T, key))
+    return indices, keys
+
+
 def maass_lift(c, k: int, trace_bound: int) -> Expansion:
     """The weight-k Maass lift of the index-1 Jacobi form whose coefficient
     at discriminant D = 4n - r^2 is c(D) (see the module docstring)."""
-    coeffs = {(0, 0, 0): _canon(-bernoulli(k) / (2 * k) * c(0), None)}
-    lifted = {}  # a(T) depends on T only through (4 det T, content T)
-    for T in iter_l2_indices(trace_bound):
-        m, n, r = T
-        if m + n:  # T != 0
-            key = (4 * m * n - r * r, gcd(m, n, r))
-            if key not in lifted:
-                fd, g = key
-                a = sum(c(fd // (d * d)) * d ** (k - 1) for d in divisors(g))
-                lifted[key] = _canon(a, None)
-            coeffs[T] = lifted[key]
-    return Expansion._raw(k, trace_bound, {T: v for T, v in coeffs.items() if v}, None)
+    values = [c(D) for D in range(trace_bound * trace_bound + 1)]
+    # the divisor sums run over integers: the c(D) times their common denominator
+    den = lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    powers = [d ** (k - 1) for d in range(trace_bound + 1)]
+    indices, keys = _lift_keys(trace_bound)
+    lifted = {key: sum(nums[D] * powers[d] for D, d in terms) for key, terms in keys.items()}
+    if den != 1:
+        lifted = {key: _canon(Fraction(a, den), None) for key, a in lifted.items()}
+    a0 = _canon(-bernoulli(k) / (2 * k) * values[0], None)
+    coeffs = {(0, 0, 0): a0} if a0 else {}
+    coeffs |= {T: v for T, key in indices if (v := lifted[key])}
+    return Expansion._raw(k, trace_bound, coeffs, None)
 
 
 def siegel_eisenstein(k: int, trace_bound: int) -> Expansion:
@@ -123,7 +149,11 @@ def siegel_eisenstein(k: int, trace_bound: int) -> Expansion:
     zeta_1mk = -bernoulli(k) / k
     zeta_3m2k = -bernoulli(2 * k - 2) / (2 * k - 2)
     prefactor = 2 / (zeta_1mk * zeta_3m2k)
-    return maass_lift(lambda D: prefactor * cohen_h(k - 1, D), k, trace_bound)
+    try:  # every H(k-1, D), D <= trace_bound^2, from a few values of cohen_h
+        h = h_series(k - 1, trace_bound * trace_bound + 1, cohen_h)
+    except ValueError as exc:
+        raise ConstructionError(str(exc)) from None
+    return maass_lift(lambda D: h[D] and prefactor * h[D], k, trace_bound)
 
 
 def eisenstein_family(trace_bound: int) -> dict[int, Expansion]:
@@ -207,21 +237,25 @@ def build_x35(x4: Expansion, x6: Expansion, x10: Expansion, x12: Expansion) -> E
     if any(f.modulus != p for f in forms):
         raise ValueError("domain mismatch: the four generators must share one domain")
     rows = [[f.scale(f.weight).coeffs for f in forms]]
-    rows += [[f.derivative(axis).coeffs for f in forms] for axis in ("11", "12", "22")]
+    rows += [[f.derivative(axis).coeffs for f in forms] for axis in ("12", "11", "22")]
+    # sigma-symmetric columns give top minors of parity +1, low minors and
+    # their products of parity -1 (module docstring)
+    even = all(F == {(n, m, r): v for (m, n, r), v in F.items()} for F in rows[0])
+    top_parity, low_parity = (1, -1) if even else (None, None)
     # a minor of one row pair is needed only to trace bound - t, where t is the
     # lowest trace of a nonzero minor of the other pair, so at least the sum
     # of the lowest traces of the other pair's rows
     lowest = [min((m + n for F in row for m, n, _ in F), default=bound) for row in rows]
 
-    def minors(top, low, reach):
+    def minors(top, low, reach, parity):
         pairs = list(combinations(range(4), 2))
         sums = [[(1, top[i], low[j]), (-1, top[j], low[i])] for i, j in pairs]
-        return dict(zip(pairs, product_sums(sums, reach, p)))
+        return dict(zip(pairs, product_sums(sums, reach, p, [parity] * 6)))
 
-    top = minors(*rows[:2], bound - lowest[2] - lowest[3])
-    low = minors(*rows[2:], bound - lowest[0] - lowest[1])
+    top = minors(*rows[:2], bound - lowest[2] - lowest[3], top_parity)
+    low = minors(*rows[2:], bound - lowest[0] - lowest[1], low_parity)
     terms = [(sign, top[ij], low[kl]) for ij, kl, sign in _DET4_TERMS]
-    det = product_sums([terms], bound, p)[0]
+    det = product_sums([terms], bound, p, [low_parity])[0]
     pivot = det.get((2, 3, -1))
     if not pivot:
         raise ConstructionError("determinant vanishes at the normalization index (2,3,-1)")
@@ -262,14 +296,12 @@ class GeneratorSet:
 
 
 def integrality_check(forms: dict[str, Expansion]) -> list[tuple[str, tuple, object]]:
-    """Report non-integer coefficients of a mapping name -> Expansion;
-    empty means all of them are integral."""
+    """Report non-integer coefficients of a mapping name -> Expansion, each
+    form's in the index order; empty means all of them are integral."""
     out = []
     for name, form in forms.items():
-        for T in form.support():
-            c = form.coeffs[T]
-            if c.denominator != 1:
-                out.append((name, T, c))
+        bad = [T for T, c in form.coeffs.items() if c.denominator != 1]
+        out += [(name, T, form.coeffs[T]) for T in sorted(bad, key=order_key)]
     return out
 
 
@@ -322,12 +354,15 @@ def save_generator_set(gen: GeneratorSet, cache_dir) -> list[Path]:
     """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
+    paths, texts = [], {}  # one text per expansion: a built X4 is its E4
     for name in CACHE_NAMES:
         path = cache_path(cache_dir, name, gen.trace_bound)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        form = gen.atom(name)
+        if id(form) not in texts:
+            texts[id(form)] = form.to_text()
         try:
-            tmp.write_text(gen.atom(name).to_text())
+            tmp.write_text(texts[id(form)])
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)  # left over only when a step failed

@@ -19,8 +19,6 @@ Conventions:
       B_{n,chi} = sum_j C(n, j) B_j q^(j-1) S_{n-j},   S_k = sum_{a=1}^{q} chi(a) a^k,
 
   so the only fractions are the Bernoulli numbers B_j and the factor 1/q.
-  The character table of each D and each S_k are computed once per process
-  and shared by every weight.
 * H(r, 0) = zeta(1-2r).  For N > 0 write (-1)^r N = D f^2 with D
   fundamental; then
 
@@ -28,6 +26,13 @@ Conventions:
 
   and H(r, N) = 0 whenever (-1)^r N ≡ 2, 3 (mod 4).  H(1, N) is the
   Hurwitz class number.
+* For r >= 2, sum_N H(r, N) q^N lies in M_{r+1/2}(Gamma0(4)) (H. Cohen,
+  Math. Ann. 217, 1975), which has the basis theta^(2r+1-4j) F^j for
+  0 <= j <= J = (2r+1)/4, with theta = sum_n q^(n^2) and
+  F = sum_{n odd} sigma_1(n) q^n (N. Koblitz, GTM 97, ch. IV section 1).
+  Basis element j is q^j + O(q^(j+1)), so H(r, 0..J) fix the coordinates
+  triangularly.  `h_series` takes them and two check values from
+  `cohen_h`, and every other H(r, N) from the series.
 
 Factorization is plain trial division: every input in this package is desk
 scale (bounded by a small multiple of the trace bound squared).  Primality
@@ -38,8 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import compress, repeat
-from math import comb, lcm
+from math import comb, isqrt, lcm
 
 __all__ = [
     "bernoulli",
@@ -54,6 +58,7 @@ __all__ = [
     "moebius",
     "is_prime",
     "cohen_h",
+    "h_series",
 ]
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
@@ -220,35 +225,19 @@ class QuadCharacter:
         return kronecker(self.discriminant, m)
 
 
-@cache
-def _character_table(disc: int) -> tuple[bytes, bytes]:
-    """Masks over a = 1..|D| of chi_D(a) = 1 and of chi_D(a) = -1: one table
-    per discriminant, shared by every B_{n,chi} of that character."""
-    values = [kronecker(disc, a) for a in range(1, abs(disc) + 1)]
-    return bytes(v == 1 for v in values), bytes(v == -1 for v in values)
-
-
-@cache
-def _power_sum(disc: int, k: int) -> int:
-    """S_k = sum_{a=1}^{|D|} chi_D(a) a^k (module docstring)."""
-    plus, minus = (sum(map(pow, compress(range(1, abs(disc) + 1), mask), repeat(k)))
-                   for mask in _character_table(disc))
-    return plus - minus
-
-
 def gen_bernoulli(n: int, chi: QuadCharacter) -> Fraction:
     """Generalized Bernoulli number B_{n,chi} for a quadratic character.
 
     B_{n,chi} = sum_j C(n, j) B_j q^(j-1) S_{n-j} with q = |D| and the
-    integer power sums S_k = sum_{a=1}^{q} chi(a) a^k (module docstring),
-    each computed once per (D, k).
+    integer power sums S_k = sum_{a=1}^{q} chi(a) a^k (module docstring).
     """
     if n < 1:
         raise ValueError("generalized Bernoulli index must be >= 1")
-    q, disc = chi.modulus, chi.discriminant
+    q = chi.modulus
+    nonzero = [(c, a) for a in range(1, q + 1) if (c := chi(a))]  # (chi(a), a)
     # q * B_{n,chi} is an integer combination of the B_j: sum it over their
     # common denominator and divide once
-    terms = [(bj, comb(n, j) * q**j * _power_sum(disc, n - j))
+    terms = [(bj, comb(n, j) * q**j * sum(c * a ** (n - j) for c, a in nonzero))
              for j in range(n + 1) if (bj := bernoulli(j))]
     den = lcm(*(bj.denominator for bj, _ in terms))
     num = sum(bj.numerator * (den // bj.denominator) * c for bj, c in terms)
@@ -303,3 +292,50 @@ def cohen_h(r: int, n: int) -> Fraction:
         if mu:
             total += mu * chi(d) * d ** (r - 1) * divisor_sigma(2 * r - 1, f // d)
     return lvalue * total
+
+
+def _series_mul(a: list[int], b: list[int]) -> list[int]:
+    """a * b to the common length of a and b, for power series with
+    non-negative integer coefficients: one big-int product of the packed
+    series (Kronecker substitution)."""
+    size = (max(a).bit_length() + max(b).bit_length() + len(a).bit_length() + 7) // 8
+    x, y = (int.from_bytes(b"".join(v.to_bytes(size, "little") for v in s), "little")
+            for s in (a, b))
+    out = (x * y).to_bytes(2 * len(a) * size, "little")
+    return [int.from_bytes(out[i:i + size], "little") for i in range(0, len(a) * size, size)]
+
+
+@cache
+def _theta_f(a: int, j: int, count: int) -> list[int]:
+    """theta^a F^j to q^(count - 1) (module docstring), for a >= 1 or
+    (a, j) = (0, 1)."""
+    if (a, j) == (1, 0):
+        return [2 - (n == 0) if isqrt(n) ** 2 == n else 0 for n in range(count)]
+    if (a, j) == (0, 1):
+        return [n % 2 and divisor_sigma(1, n) for n in range(count)]
+    if j:
+        return _series_mul(_theta_f(a, j - 1, count), _theta_f(0, 1, count))
+    b = a - 4 if a > 4 else a // 2  # past theta^4, theta^a = theta^(a-4) theta^4
+    return _series_mul(_theta_f(b, 0, count), _theta_f(a - b, 0, count))
+
+
+def h_series(r: int, count: int, seed=cohen_h) -> list[Fraction]:
+    """[H(r, 0), ..., H(r, count - 1)] for r >= 2 by the identity of the
+    module docstring.  The values seed(r, n) for n <= J fix the J + 1
+    basis coefficients, J = (2r + 1) // 4, and seed(r, J + 1) and
+    seed(r, J + 2) check them: ValueError when either disagrees."""
+    top = (2 * r + 1) // 4
+    known = [seed(r, n) for n in range(top + 3)]
+    basis = [_theta_f(2 * r + 1 - 4 * j, j, max(count, top + 3)) for j in range(top + 1)]
+    coeffs: list[Fraction] = []
+    for j in range(top + 1):  # basis element j is q^j + O(q^(j+1))
+        coeffs.append(known[j] - sum(c * b[j] for c, b in zip(coeffs, basis)))
+    den = lcm(*(c.denominator for c in coeffs))
+    total = [0] * len(basis[0])
+    for c, b in zip(coeffs, basis):
+        total = [t + c.numerator * (den // c.denominator) * v for t, v in zip(total, b)]
+    out = [Fraction(t, den) for t in total]
+    if out[:top + 3] != known:
+        raise ValueError(f"H({r}, N) at N = {top + 1}, {top + 2} disagrees with "
+                         f"the basis of M_({r}+1/2)(Gamma0(4))")
+    return out[:count]

@@ -37,6 +37,12 @@ one big-int multiply, added with its sign into a target block of its sum,
 and each target block is unpacked once with signed borrow.
 `Expansion.__mul__` is a sum of one term.
 
+A sum may carry a sigma-parity e = +1 or -1: the caller's promise that
+the sum is e-symmetric under the swap sigma: (m, n, r) -> (n, m, r), that
+is a(n, m, r) = e * a(m, n, r).  The kernel then multiplies only the block
+pairs whose target block has m <= n, and fills block (n, m) as e times
+block (m, n): the same slots, the same r.  The promise is not checked.
+
 Indices are ordered lexicographically by (trace, m, r).  `order_key` is
 the sort key realizing this total order on index triples (which need not
 be positive semidefinite: the order lives on all of Lambda_2), and every
@@ -50,6 +56,7 @@ distinct known weights is refused; `None` absorbs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import isqrt, lcm
 from typing import Iterator
 
@@ -130,11 +137,12 @@ def theta_quarter(p: int | None):
     return _embed(Fraction(1, 4), p)
 
 
-def product_sums(sums, bound: int, p: int | None) -> list[dict[tuple[int, int, int], object]]:
+def product_sums(sums, bound: int, p: int | None, parities=None) -> list[dict[tuple[int, int, int], object]]:
     """The product kernel (see the module docstring).  Each sum is a list of
     terms (sign, left, right) with an integer sign and coefficient dicts
     left and right; for each sum, the canonical nonzero coefficients of
-    sum(sign * left * right) at every index of trace <= bound."""
+    sum(sign * left * right) at every index of trace <= bound.  `parities`
+    gives each sum a sigma-parity, +1, -1 or None (see the module docstring)."""
     radius = [[isqrt(4 * m * n) for n in range(bound + 1 - m)] for m in range(bound + 1)]
     # each distinct operand is made integral to trace bound: times the lcm d
     # of its denominators there, with its term count and the bit length of
@@ -152,7 +160,7 @@ def product_sums(sums, bound: int, p: int | None) -> list[dict[tuple[int, int, i
     # carries the multiplier lcm / (d_left * d_right) in its sign; at most
     # |sign| * min(#left, #right) term pairs of a term meet at one index
     plans, size, pairs = [], 0, 0
-    for terms in sums:
+    for terms, parity in zip(sums, parities or [None] * len(sums)):
         dens = [operands[id(left)][1] * operands[id(right)][1] for _, left, right in terms]
         den = lcm(*dens)
         plan = [(sign * (den // d), id(left), id(right))
@@ -160,7 +168,7 @@ def product_sums(sums, bound: int, p: int | None) -> list[dict[tuple[int, int, i
         for s, a, b in plan:
             size = max(size, operands[a][3] + operands[b][3])
         pairs = max(pairs, sum(abs(s) * min(operands[a][2], operands[b][2]) for s, a, b in plan))
-        plans.append((plan, den))
+        plans.append((plan, den, parity))
     # a slot holds any such sum, sign included
     width = size + pairs.bit_length() + 1
     # one int per (m, n) block, with a(m, n, r) in the width-bit slot
@@ -173,15 +181,20 @@ def product_sums(sums, bound: int, p: int | None) -> list[dict[tuple[int, int, i
                 v = v if d == 1 else v.numerator * (d // v.denominator)
                 blocks[m, n] = blocks.get((m, n), 0) + (v << width * (r + radius[m][n]))
         packed[key] = sorted((m + n, m, n, radius[m][n], x) for (m, n), x in blocks.items())
+
+    @cache  # the blocks of operand b that land on m <= n from a left block with n1 - m1 = c
+    def lower(b, c):
+        return [x for x in packed[b] if x[1] - x[2] <= c]
+
     half, mask = 1 << (width - 1), (1 << width) - 1
     out = []
-    for plan, den in plans:
+    for plan, den, parity in plans:
         acc: dict[tuple[int, int], int] = {}
         for s, a, b in plan:
             right = packed[b]
             for t1, m1, n1, r1, x1 in packed[a]:
                 room, x1 = bound - t1, s * x1
-                for t2, m2, n2, r2, x2 in right:
+                for t2, m2, n2, r2, x2 in right if parity is None else lower(b, n1 - m1):
                     if t2 > room:
                         break
                     m, n = m1 + m2, n1 + n2
@@ -199,6 +212,9 @@ def product_sums(sums, bound: int, p: int | None) -> list[dict[tuple[int, int, i
                     coeffs[m, n, r] = v
                 x >>= width
                 r += 1
+        if parity:  # block (n, m) is parity * block (m, n); -v is canonical when p is None
+            coeffs |= {(n, m, r): parity * v % p if p else parity * v
+                       for (m, n, r), v in coeffs.items() if m < n}
         out.append(coeffs)
     return out
 

@@ -173,6 +173,15 @@ def test_coeff_mod_p(cli_cache, capsys):
     assert "mod 23" in out
 
 
+def test_an_expression_with_a_leading_minus_follows_the_options_and_a_double_dash(
+    cli_cache, capsys
+):
+    status, out, err = run(
+        capsys, "coeff", "--trace-bound", 12, "--cache-dir", cli_cache, "--", "-X4", 1, 0, 0
+    )
+    assert (status, out, err) == (0, "a((1,0,0); -X4) = -240\n", "")
+
+
 def test_coeff_rejects_bad_index(cli_cache, capsys):
     status, out, err = run(
         capsys, "coeff", "X4", 1, 1, 3, "--cache-dir", cli_cache

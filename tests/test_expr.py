@@ -85,6 +85,20 @@ def test_eval_mod_p(genset_small):
     )
 
 
+def test_eval_mod_p_reduces_each_atom_once(genset_small, monkeypatch):
+    calls = []
+    reduce_mod = Expansion.reduce_mod
+
+    def counted(self, p):
+        calls.append(p)
+        return reduce_mod(self, p)
+
+    monkeypatch.setattr(Expansion, "reduce_mod", counted)
+    got = eval_expr(parse("X4*X4*X6 - X4*(X4*X6) + X4^2*X6"), genset_small, modulus=7)
+    assert calls == [7, 7]  # X4 and X6, however often they occur
+    assert got == eval_expr(parse("X4^2*X6"), genset_small).reduce_mod(7)
+
+
 def test_eval_scalar_weight_zero(genset_small):
     half = eval_expr(parse("1/2*X10"), genset_small)
     assert half.coefficient((1, 1, 1)) == Fraction(1, 2)

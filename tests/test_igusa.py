@@ -32,7 +32,7 @@ from siegel2.igusa import (
     save_generator_set,
     siegel_eisenstein,
 )
-from siegel2.numtheory import bernoulli
+from siegel2.numtheory import bernoulli, cohen_h
 from siegel2.qexp import Expansion, iter_l2_indices
 from siegel2.reference import MIN_MATRIX_REFERENCE, X35_LOW_TRACE, x35_reference_violations
 
@@ -160,6 +160,21 @@ def test_family_validation_catches_corruption(monkeypatch):
     monkeypatch.setattr(ig, "siegel_eisenstein", corrupted)
     with pytest.raises(ConstructionError):
         ig.eisenstein_family(2)
+
+
+def test_siegel_eisenstein_refuses_a_wrong_h_seed(monkeypatch):
+    import siegel2.igusa as ig
+
+    calls = []
+
+    def wrong(r, n):
+        calls.append((r, n))
+        return cohen_h(r, n) + (n == 1)
+
+    monkeypatch.setattr(ig, "cohen_h", wrong)
+    with pytest.raises(ConstructionError, match="disagrees"):
+        ig.siegel_eisenstein(12, 6)
+    assert calls == [(11, n) for n in range(8)]  # the seeds and checks of r = 11, no more
 
 
 # ----- cusp generators ------------------------------------------------------
@@ -307,6 +322,12 @@ def test_generators_have_expected_symmetries(genset_small):
 
 def test_integrality(genset):
     assert integrality_check(genset.generators()) == []
+
+
+def test_integrality_check_lists_the_offenders_in_index_order():
+    F = Expansion(4, 3, {(2, 1, 0): Fraction(1, 3), (0, 1, 0): 5, (1, 1, -1): Fraction(-7, 2)})
+    want = [("F", (1, 1, -1), Fraction(-7, 2)), ("F", (2, 1, 0), Fraction(1, 3))]
+    assert integrality_check({"G": Expansion(4, 3, {(0, 0, 0): 1}), "F": F}) == want
 
 
 def test_min_matrix_reference_names(genset_small):

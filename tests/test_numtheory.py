@@ -13,6 +13,7 @@ from siegel2.numtheory import (
     bernoulli,
     cohen_h,
     divisor_sigma,
+    h_series,
     divisors,
     factorize,
     fundamental_decomposition,
@@ -381,6 +382,24 @@ def test_cohen_h_table_reproducible():
     cohen_h.cache_clear()
     fresh = [cohen_h(2, n) for n in range(40)]
     assert values1 == cached == fresh
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 7, 9, 11])
+def test_h_series_equals_cohen_h(r):
+    # the weights 4..12 use r = 3, 5, 7, 9, 11; past its seeds the series
+    # shares no arithmetic with cohen_h
+    assert h_series(r, 401) == [cohen_h(r, n) for n in range(401)]
+    assert h_series(r, 2) == [cohen_h(r, 0), cohen_h(r, 1)]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_h_series_refuses_a_perturbed_seed_or_check_value(n):
+    # r = 5: the seeds are H(5, 0..2), the check values H(5, 3) and H(5, 4)
+    def seed(r, m):
+        return cohen_h(r, m) + (m == n)
+
+    with pytest.raises(ValueError, match=r"H\(5, N\) at N = 3, 4 disagrees"):
+        h_series(5, 100, seed)
 
 
 def test_cohen_h_rejects_bad_input():

@@ -343,16 +343,70 @@ def test_product_sums_match_the_naive_convolutions(call):
                        bound, modulus)
     assert len(got) == len(sums)
     for terms, coeffs in zip(sums, got):
-        want = {}
-        for s, F, G in terms:
-            for T, c in naive_product(F, G).items():
-                if T[0] + T[1] <= bound:
-                    want[T] = want.get(T, 0) + s * c
-        if modulus is not None:
-            want = {T: c % modulus for T, c in want.items()}
-        assert coeffs == {T: c for T, c in want.items() if c}
+        assert coeffs == naive_sum(terms, bound, modulus)
         assert_canonical(Expansion._raw(None, bound, coeffs, modulus))
         assert all(type(T) is tuple for T in coeffs)
+
+
+def naive_sum(terms, bound, modulus):
+    """sum(s * F * G) over the terms (s, F, G) to the bound, by naive_product."""
+    want = {}
+    for s, F, G in terms:
+        for T, c in naive_product(F, G).items():
+            if T[0] + T[1] <= bound:
+                want[T] = want.get(T, 0) + s * c
+    if modulus is not None:
+        want = {T: c % modulus for T, c in want.items()}
+    return {T: c for T, c in want.items() if c}
+
+
+def swap(F):
+    """F with m and n swapped: the image of F under sigma."""
+    return Expansion(F.weight, F.trace_bound, {(n, m, r): c for (m, n, r), c in F.coeffs.items()},
+                     F.modulus)
+
+
+@st.composite
+def parity_calls(draw):
+    """(sums, parities, bound, modulus) as `product_sum_calls`, each sum of
+    sigma-parity e = +1 or -1.  A term is a product of two operands that are
+    sigma-symmetric or -antisymmetric with parities of product e, or the pair
+    F*G and e * sigma(F)*sigma(G) of two arbitrary operands."""
+    modulus = draw(st.sampled_from([None, 5, 23]))
+    bound = draw(st.integers(0, 6))
+    values = st.integers(-10**20, 10**20) if modulus is None else st.integers(0, modulus - 1)
+    indices = list(iter_l2_indices(bound + 1))
+
+    def operand():
+        support = draw(st.lists(st.sampled_from(indices), max_size=20, unique=True))
+        F = Expansion(None, bound + 1, {T: draw(values) for T in support}, modulus)
+        return F if modulus else F.scale(Fraction(1, draw(st.integers(1, 12))))
+
+    sums, parities = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        e = draw(st.sampled_from([1, -1]))
+        terms = []
+        for _ in range(draw(st.integers(1, 4))):
+            s, F, G = draw(st.sampled_from([1, -1, 2, -3])), operand(), operand()
+            if draw(st.booleans()):
+                terms += [(s, F, G), (e * s, swap(F), swap(G))]
+            else:
+                f = draw(st.sampled_from([1, -1]))
+                terms.append((s, F + swap(F).scale(f), G + swap(G).scale(e * f)))
+        sums.append(terms)
+        parities.append(e)
+    return sums, parities, bound, modulus
+
+
+@given(call=parity_calls())
+def test_product_sums_with_a_parity_match_the_naive_convolutions(call):
+    sums, parities, bound, modulus = call
+    dicts = [[(s, F.coeffs, G.coeffs) for s, F, G in terms] for terms in sums]
+    want = [naive_sum(terms, bound, modulus) for terms in sums]
+    assert product_sums(dicts, bound, modulus, parities) == want
+    # the wrong parity fails as soon as a coefficient off m = n is nonzero
+    wrong = product_sums(dicts, bound, modulus, [-e for e in parities])
+    assert (wrong == want) == all(T[0] == T[1] for coeffs in want for T in coeffs)
 
 
 @given(data=st.data(), modulus=st.sampled_from([None, 5, 23]))
