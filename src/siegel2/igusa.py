@@ -42,9 +42,13 @@ d12 X, d11 X, d22 X) negates the determinant; the normalization at
 (2, 3, -1) cancels the sign.  The swap sigma: (m, n, r) -> (n, m, r)
 fixes each modular even generator, so it fixes k X and d12 X and swaps
 d11 X and d22 X: the top minors are sigma-symmetric, the low minors and
-the six products antisymmetric.  `build_x35` hands the minors of each
-row pair, then the six products, to the `qexp` product kernel, with these
-parities when its four columns are sigma-symmetric.
+the six products antisymmetric.  `build_x35` hands the `qexp` kernel
+each row entry as an operand (X, k or axis) of its generator, the 12
+minors in one call, each only to the trace its complementary minor leaves,
+then the six products.  When its four columns are sigma-symmetric it
+passes these parities, and it gets the minors and the determinant on
+their half m <= n; it normalizes that half at (2, 3, -1), leaving a
+Fraction only where the pivot does not divide, and mirrors it.
 """
 
 from __future__ import annotations
@@ -236,30 +240,41 @@ def build_x35(x4: Expansion, x6: Expansion, x10: Expansion, x12: Expansion) -> E
     p = x4.modulus
     if any(f.modulus != p for f in forms):
         raise ValueError("domain mismatch: the four generators must share one domain")
-    rows = [[f.scale(f.weight).coeffs for f in forms]]
-    rows += [[f.derivative(axis).coeffs for f in forms] for axis in ("12", "11", "22")]
     # sigma-symmetric columns give top minors of parity +1, low minors and
     # their products of parity -1 (module docstring)
-    even = all(F == {(n, m, r): v for (m, n, r), v in F.items()} for F in rows[0])
-    top_parity, low_parity = (1, -1) if even else (None, None)
-    # a minor of one row pair is needed only to trace bound - t, where t is the
-    # lowest trace of a nonzero minor of the other pair, so at least the sum
-    # of the lowest traces of the other pair's rows
-    lowest = [min((m + n for F in row for m, n, _ in F), default=bound) for row in rows]
-
-    def minors(top, low, reach, parity):
-        pairs = list(combinations(range(4), 2))
-        sums = [[(1, top[i], low[j]), (-1, top[j], low[i])] for i, j in pairs]
-        return dict(zip(pairs, product_sums(sums, reach, p, [parity] * 6)))
-
-    top = minors(*rows[:2], bound - lowest[2] - lowest[3], top_parity)
-    low = minors(*rows[2:], bound - lowest[0] - lowest[1], low_parity)
+    even = all(f.coeffs == {(n, m, r): v for (m, n, r), v in f.coeffs.items()} for f in forms)
+    column, top_parity, low_parity = (1, 1, -1) if even else (None, None, None)
+    rows = [[(f.coeffs, f.weight, column) for f in forms]]
+    rows += [[(f.coeffs, axis, column) for f in forms] for axis in ("12", "11", "22")]
+    # a minor is needed only to trace bound - t, where t is the lowest trace of
+    # its complementary minor, so at least that of a product of two entries:
+    # an entry's is its generator's, and at least 2 in row d12 (r != 0 needs
+    # m, n >= 1) and 1 in rows d11 and d22
+    lowest = [min(m + n for m, n, _ in f.coeffs) if f.coeffs else bound for f in forms]
+    lowest = [[max(t, least) for t in lowest] for least in (0, 2, 1, 1)]
+    pairs = list(combinations(range(4), 2))  # pairs[5 - q] is the complement of pairs[q]
+    first = [min(lowest[a][i] + lowest[b][j], lowest[a][j] + lowest[b][i])
+             for a, b in ((0, 1), (2, 3)) for i, j in pairs]  # of the 12 minors
+    reaches = [bound - t for t in first[:5:-1] + first[5::-1]]
+    sums = [[(1, top[i], low[j]), (-1, top[j], low[i])]
+            for top, low in (rows[:2], rows[2:]) for i, j in pairs]
+    minors = product_sums(sums, max(reaches), p, [top_parity] * 6 + [low_parity] * 6, reaches)
+    top = {ij: (F, 1, top_parity) for ij, F in zip(pairs, minors)}
+    low = {ij: (F, 1, low_parity) for ij, F in zip(pairs, minors[6:])}
     terms = [(sign, top[ij], low[kl]) for ij, kl, sign in _DET4_TERMS]
     det = product_sums([terms], bound, p, [low_parity])[0]
     pivot = det.get((2, 3, -1))
     if not pivot:
         raise ConstructionError("determinant vanishes at the normalization index (2,3,-1)")
-    return Expansion(35, bound, det, p).scale(Fraction(1) / pivot)
+    if p:
+        inverse = pow(pivot, -1, p)
+        x35 = {T: v * inverse % p for T, v in det.items()}
+    else:  # a Fraction only where the pivot does not divide, for integrality_check
+        x35 = {T: Fraction(v) / pivot if rest else q
+               for T, v in det.items() for q, rest in [divmod(v, pivot)]}
+    if even:  # the determinant is sigma-antisymmetric: its half m <= n gives the rest
+        x35 |= {(n, m, r): -v % p if p else -v for (m, n, r), v in x35.items() if m < n}
+    return Expansion._raw(35, bound, x35, p)
 
 
 class GeneratorSet:

@@ -471,6 +471,19 @@ def test_build_x35_on_dense_extreme_operands(forms):
     assert build_x35(*forms) == x35_oracle(forms)
 
 
+# small columns whose determinant the pivot at (2, 3, -1) mostly does not
+# divide: X35 keeps a Fraction there for integrality_check to name
+@pytest.mark.parametrize("value", [
+    lambda T, j: (3 * T[0] + 5 * T[1] + T[0] * T[1] + abs(T[2]) + 7 * j) % 11 - 5,
+    lambda T, j: (3 * (T[0] + T[1]) + T[0] * T[1] + abs(T[2]) + 7 * j) % 11 - 5,
+], ids=["columns", "sigma-symmetric-columns"])
+def test_build_x35_keeps_a_fraction_where_the_pivot_does_not_divide(value):
+    forms = dense_columns(value, bound=6)
+    x35 = build_x35(*forms)
+    assert x35 == x35_oracle(forms)
+    assert integrality_check({"X35": x35})
+
+
 def test_build_x35_takes_rational_and_mod_p_operands(genset9):
     # the determinant is linear in each column, so the normalization
     # cancels a scaled operand, and reduction mod p commutes with it

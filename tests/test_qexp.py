@@ -308,6 +308,21 @@ def test_product_sums_width_counts_the_term_pairs(support, scales):
     assert product_sums([terms], 6, None) == [want]
 
 
+# a ray of indices that the factor weights, with its sigma image: on the ray
+# every term pair of F * F meeting at its end adds coherently
+@pytest.mark.parametrize("factor, ray", [
+    (35, [(j, 0, 0) for j in range(7)]),
+    ("11", [(j, 0, 0) for j in range(7)]),
+    ("22", [(0, j, 0) for j in range(7)]),
+    ("12", [(j, j, 2 * j) for j in range(4)]),
+])
+@pytest.mark.parametrize("parity", [None, 1])
+def test_product_sums_width_holds_the_operand_factors(factor, ray, parity):
+    F = Expansion(None, 6, {T: TOP for m, n, r in ray for T in ((m, n, r), (n, m, r))})
+    x, operand = weighted(F, factor), (F.coeffs, factor, parity)
+    assert product_sums([[(1, operand, operand)]], 6, None) == [naive_product(x, x)]
+
+
 @st.composite
 def product_sum_calls(draw):
     """(sums, bound, modulus): 1-3 sums of 1-6 signed terms over a pool of
@@ -348,6 +363,15 @@ def test_product_sums_match_the_naive_convolutions(call):
         assert all(type(T) is tuple for T in coeffs)
 
 
+@given(call=product_sum_calls(), data=st.data())
+def test_product_sums_stop_each_sum_at_its_reach(call, data):
+    sums, bound, modulus = call
+    reaches = [data.draw(st.integers(0, bound)) for _ in sums]
+    got = product_sums([[(s, F.coeffs, G.coeffs) for s, F, G in terms] for terms in sums],
+                       bound, modulus, reaches=reaches)
+    assert got == [naive_sum(terms, reach, modulus) for terms, reach in zip(sums, reaches)]
+
+
 def naive_sum(terms, bound, modulus):
     """sum(s * F * G) over the terms (s, F, G) to the bound, by naive_product."""
     want = {}
@@ -367,6 +391,16 @@ def swap(F):
 
 
 @st.composite
+def kernel_operands(draw, bound, modulus):
+    """An expansion to trace bound + 1 with up to 20 terms; a rational one
+    over a denominator up to 12."""
+    values = st.integers(-10**20, 10**20) if modulus is None else st.integers(0, modulus - 1)
+    support = draw(st.lists(st.sampled_from(list(iter_l2_indices(bound + 1))), max_size=20, unique=True))
+    F = Expansion(None, bound + 1, {T: draw(values) for T in support}, modulus)
+    return F if modulus else F.scale(Fraction(1, draw(st.integers(1, 12))))
+
+
+@st.composite
 def parity_calls(draw):
     """(sums, parities, bound, modulus) as `product_sum_calls`, each sum of
     sigma-parity e = +1 or -1.  A term is a product of two operands that are
@@ -374,20 +408,13 @@ def parity_calls(draw):
     F*G and e * sigma(F)*sigma(G) of two arbitrary operands."""
     modulus = draw(st.sampled_from([None, 5, 23]))
     bound = draw(st.integers(0, 6))
-    values = st.integers(-10**20, 10**20) if modulus is None else st.integers(0, modulus - 1)
-    indices = list(iter_l2_indices(bound + 1))
-
-    def operand():
-        support = draw(st.lists(st.sampled_from(indices), max_size=20, unique=True))
-        F = Expansion(None, bound + 1, {T: draw(values) for T in support}, modulus)
-        return F if modulus else F.scale(Fraction(1, draw(st.integers(1, 12))))
-
+    operand = kernel_operands(bound, modulus)
     sums, parities = [], []
     for _ in range(draw(st.integers(1, 3))):
         e = draw(st.sampled_from([1, -1]))
         terms = []
         for _ in range(draw(st.integers(1, 4))):
-            s, F, G = draw(st.sampled_from([1, -1, 2, -3])), operand(), operand()
+            s, F, G = draw(st.sampled_from([1, -1, 2, -3])), draw(operand), draw(operand)
             if draw(st.booleans()):
                 terms += [(s, F, G), (e * s, swap(F), swap(G))]
             else:
@@ -398,15 +425,81 @@ def parity_calls(draw):
     return sums, parities, bound, modulus
 
 
+def mirror(half, e, modulus):
+    """The coefficients on m <= n completed by a(n, m, r) = e * a(m, n, r)."""
+    rest = {(n, m, r): e * c for (m, n, r), c in half.items() if m < n}
+    return half | ({T: c % modulus for T, c in rest.items()} if modulus else rest)
+
+
 @given(call=parity_calls())
 def test_product_sums_with_a_parity_match_the_naive_convolutions(call):
     sums, parities, bound, modulus = call
     dicts = [[(s, F.coeffs, G.coeffs) for s, F, G in terms] for terms in sums]
     want = [naive_sum(terms, bound, modulus) for terms in sums]
-    assert product_sums(dicts, bound, modulus, parities) == want
+    got = product_sums(dicts, bound, modulus, parities)
+    # the kernel returns the half m <= n of each sum, and the parity gives the rest
+    assert got == [{T: c for T, c in coeffs.items() if T[0] <= T[1]} for coeffs in want]
+    assert [mirror(half, e, modulus) for half, e in zip(got, parities)] == want
     # the wrong parity fails as soon as a coefficient off m = n is nonzero
-    wrong = product_sums(dicts, bound, modulus, [-e for e in parities])
+    wrong = [mirror(half, -e, modulus)
+             for half, e in zip(product_sums(dicts, bound, modulus, [-e for e in parities]), parities)]
     assert (wrong == want) == all(T[0] == T[1] for coeffs in want for T in coeffs)
+
+
+FACTORS = [0, 1, -1, 4, 35, "11", "12", "22"]
+
+
+def weighted(F, factor):
+    """F times the factor of a kernel operand: `scale` or `derivative`."""
+    return F.derivative(factor) if type(factor) is str else F.scale(factor)
+
+
+@st.composite
+def operand_calls(draw):
+    """(terms, bound, modulus): 1-4 signed terms (s, (F, op), (G, op)), where
+    op is None for the plain operand F or (factor, e) for the operand
+    (F, factor, e) of an e-symmetric F, e = +1 or -1."""
+    modulus = draw(st.sampled_from([None, 5, 23]))
+    bound = draw(st.integers(0, 6))
+
+    def operand():
+        F = draw(kernel_operands(bound, modulus))
+        if draw(st.booleans()):
+            return F, None
+        e = draw(st.sampled_from([1, -1]))
+        return F + swap(F).scale(e), (draw(st.sampled_from(FACTORS)), e)
+
+    terms = [(draw(st.sampled_from([1, -1, 2, -3])), operand(), operand())
+             for _ in range(draw(st.integers(1, 4)))]
+    return terms, bound, modulus
+
+
+@given(call=operand_calls())
+def test_product_sums_with_operand_factors_match_scale_and_derivative(call):
+    terms, bound, modulus = call
+
+    def operand(F, op):
+        return F.coeffs if op is None else (F.coeffs, *op)
+
+    def oracle(F, op):
+        return F if op is None else weighted(F, op[0])
+
+    got = product_sums([[(s, operand(*a), operand(*b)) for s, a, b in terms]], bound, modulus)
+    assert got == [naive_sum([(s, oracle(*a), oracle(*b)) for s, a, b in terms], bound, modulus)]
+
+
+@given(call=operand_calls())
+def test_a_wrong_operand_parity_changes_the_product_off_the_diagonal(call):
+    # times 1, the operand read on m <= n and mirrored with -e differs from the
+    # true one exactly where the true one has a nonzero coefficient with m > n
+    terms, bound, modulus = call
+    one = Expansion.one(bound, modulus)
+    for F, op in (a for _, a, _ in terms):
+        if op is not None:
+            factor, e = op
+            want = naive_sum([(1, weighted(F, factor), one)], bound, modulus)
+            got = product_sums([[(1, (F.coeffs, factor, -e), one.coeffs)]], bound, modulus)[0]
+            assert (got == want) == all(T[0] <= T[1] for T in want)
 
 
 @given(data=st.data(), modulus=st.sampled_from([None, 5, 23]))
