@@ -17,7 +17,9 @@ a(0) = 1 and on rank-1 indices the lift degenerates to the classical
 against the genus-1 series under the Siegel restriction and checks the
 one-dimensionality identity E4^2 = E8 exactly; a failure of either is a
 construction bug and raises instead of producing output, as does a
-failed check of `numtheory.h_series`, whose seeds are values of `cohen_h`.
+failed solve of `numtheory.h_series`, which fixes H(k-1, ·) from H(k-1, 0),
+Kohnen's plus space and the T(9) eigenvalue (Kohnen, Math. Ann. 248, 1980;
+Cohen, Math. Ann. 217, 1975).
 
 Generators and normalizations:
 
@@ -151,10 +153,10 @@ def siegel_eisenstein(k: int, trace_bound: int) -> Expansion:
     if k not in SUPPORTED_WEIGHTS:
         raise ValueError(f"weight must be one of {SUPPORTED_WEIGHTS}")
     zeta_1mk = -bernoulli(k) / k
-    zeta_3m2k = -bernoulli(2 * k - 2) / (2 * k - 2)
+    zeta_3m2k = cohen_h(k - 1, 0)
     prefactor = 2 / (zeta_1mk * zeta_3m2k)
-    try:  # every H(k-1, D), D <= trace_bound^2, from a few values of cohen_h
-        h = h_series(k - 1, trace_bound * trace_bound + 1, cohen_h)
+    try:  # every H(k-1, D), D <= trace_bound^2
+        h = h_series(k - 1, trace_bound * trace_bound + 1)
     except ValueError as exc:
         raise ConstructionError(str(exc)) from None
     return maass_lift(lambda D: h[D] and prefactor * h[D], k, trace_bound)

@@ -162,19 +162,17 @@ def test_family_validation_catches_corruption(monkeypatch):
         ig.eisenstein_family(2)
 
 
-def test_siegel_eisenstein_refuses_a_wrong_h_seed(monkeypatch):
+def test_eisenstein_family_refuses_a_wrong_h0(monkeypatch):
+    # a wrong zeta(3 - 2k) = H(k - 1, 0) rescales all of E_k, a(0) = 1
+    # included; the solve in h_series takes its own H(r, 0) from numtheory
     import siegel2.igusa as ig
 
-    calls = []
-
     def wrong(r, n):
-        calls.append((r, n))
-        return cohen_h(r, n) + (n == 1)
+        return cohen_h(r, n) * (2 if (r, n) == (11, 0) else 1)
 
     monkeypatch.setattr(ig, "cohen_h", wrong)
-    with pytest.raises(ConstructionError, match="disagrees"):
-        ig.siegel_eisenstein(12, 6)
-    assert calls == [(11, n) for n in range(8)]  # the seeds and checks of r = 11, no more
+    with pytest.raises(ConstructionError, match="restriction of E12 disagrees"):
+        ig.eisenstein_family(6)
 
 
 # ----- cusp generators ------------------------------------------------------

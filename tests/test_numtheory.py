@@ -8,18 +8,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from siegel2 import numtheory
+from siegel2.igusa import ConstructionError, siegel_eisenstein
 from siegel2.numtheory import (
-    QuadCharacter,
     bernoulli,
     cohen_h,
     divisor_sigma,
     h_series,
     divisors,
     factorize,
+    is_prime,
+)
+
+from h_oracle import (
+    QuadCharacter,
     fundamental_decomposition,
     gen_bernoulli,
+    h_lvalue,
     is_fundamental_discriminant,
-    is_prime,
     kronecker,
     moebius,
 )
@@ -355,24 +361,25 @@ def test_is_prime_refuses_past_the_proved_range():
 
 
 def test_cohen_h_examples():
-    assert cohen_h(1, 1) == 0  # -1 is 3 mod 4
-    assert cohen_h(1, 3) == Fraction(1, 3)
-    assert cohen_h(1, 4) == Fraction(1, 2)
-    assert cohen_h(3, 0) == Fraction(-1, 252)
-    assert cohen_h(1, 0) == Fraction(-1, 12)
+    assert h_lvalue(1, 1) == 0  # -1 is 3 mod 4
+    assert h_lvalue(1, 3) == Fraction(1, 3)
+    assert h_lvalue(1, 4) == Fraction(1, 2)
+    assert h_lvalue(1, 0) == Fraction(-1, 12)
+    assert cohen_h(3, 0) == h_lvalue(3, 0) == Fraction(-1, 252)
 
 
 def test_cohen_h_exclusion_locus():
     for r in range(1, 6):
         for n in range(1, 100):
             if ((-1) ** r * n) % 4 in (2, 3):
-                assert cohen_h(r, n) == 0, (r, n)
+                assert h_lvalue(r, n) == 0, (r, n)
+                assert r == 1 or cohen_h(r, n) == 0, (r, n)
 
 
 def test_cohen_h_matches_hurwitz_class_numbers():
     for n in range(1, 201):
         if n % 4 in (0, 3):
-            assert cohen_h(1, n) == hurwitz_oracle(n), n
+            assert h_lvalue(1, n) == hurwitz_oracle(n), n
 
 
 def test_cohen_h_table_reproducible():
@@ -384,26 +391,64 @@ def test_cohen_h_table_reproducible():
     assert values1 == cached == fresh
 
 
-@pytest.mark.parametrize("r", [2, 3, 4, 5, 7, 9, 11])
+@pytest.mark.parametrize("r", range(2, 12))
 def test_h_series_equals_cohen_h(r):
-    # the weights 4..12 use r = 3, 5, 7, 9, 11; past its seeds the series
-    # shares no arithmetic with cohen_h
-    assert h_series(r, 401) == [cohen_h(r, n) for n in range(401)]
-    assert h_series(r, 2) == [cohen_h(r, 0), cohen_h(r, 1)]
+    # the weights 4..12 use r = 3, 5, 7, 9, 11; both parities of (-1)^r
+    # meet the plus-space rows.  The series shares no arithmetic with the
+    # L-value oracle but Bernoulli numbers and divisor sums
+    want = [h_lvalue(r, n) for n in range(401)]
+    assert h_series(r, 401) == want
+    for count in range(4):
+        assert h_series(r, count) == want[:count]
 
 
-@pytest.mark.parametrize("n", range(5))
-def test_h_series_refuses_a_perturbed_seed_or_check_value(n):
-    # r = 5: the seeds are H(5, 0..2), the check values H(5, 3) and H(5, 4)
-    def seed(r, m):
-        return cohen_h(r, m) + (m == n)
+def _patch_top_basis(monkeypatch, r, change):
+    """Make numtheory._theta_f return change(series) for the top basis
+    element theta^(2r+1-4J) F^J of weight r + 1/2, which no other series
+    is built from, so the real cache stays clean."""
+    top = (2 * r + 1) // 4
+    real = numtheory._theta_f
 
-    with pytest.raises(ValueError, match=r"H\(5, N\) at N = 3, 4 disagrees"):
-        h_series(5, 100, seed)
+    def patched(a, j, count):
+        series = real(a, j, count)
+        return change(list(series), count) if (a, j) == (2 * r + 1 - 4 * top, top) else series
+
+    monkeypatch.setattr(numtheory, "_theta_f", patched)
+
+
+def _refused(r, message):
+    with pytest.raises(ValueError, match=message):
+        h_series(r, 50)
+    with pytest.raises(ConstructionError, match=message):
+        siegel_eisenstein(r + 1, 5)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_h_series_refuses_a_perturbed_basis_series(monkeypatch, n):
+    # r = 11: n = 1, 2, 4 and 5 meet a plus-space row, n = 3 only a T(9)
+    # row.  n = 0 meets only the H(11, 0) row, the one row that is not
+    # homogeneous: a change there rescales H(11, N > 0) against H(11, 0),
+    # which no row can see
+    def perturbed(series, count):
+        series[n] += 1
+        return series
+
+    _patch_top_basis(monkeypatch, 11, perturbed)
+    _refused(11, r"rows for H\(11, N\) contradict each other")
+
+
+def test_h_series_refuses_two_equal_basis_series(monkeypatch):
+    # theta^3 F^5 replaced by theta^7 F^4: the coordinates of the pair are unfixed
+    _patch_top_basis(monkeypatch, 11, lambda series, count: numtheory._theta_f(7, 4, count))
+    _refused(11, r"rows do not fix H\(11, N\)")
 
 
 def test_cohen_h_rejects_bad_input():
     with pytest.raises(ValueError):
-        cohen_h(1, -4)
+        h_lvalue(1, -4)
     with pytest.raises(ValueError):
-        cohen_h(0, 5)
+        h_lvalue(0, 5)
+    for r, n in [(2, -4), (0, 5)] + [(1, n) for n in range(5)]:
+        # H(1, N) is the Hurwitz class number, not a modular form: only the oracle has it
+        with pytest.raises(ValueError, match=r"needs"):
+            cohen_h(r, n)
