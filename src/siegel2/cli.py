@@ -149,10 +149,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_coeff(args) -> int:
     m, n, r = T = args.m, args.n, args.r
-    if m < 0 or n < 0 or 4 * m * n < r * r:
-        raise ValueError(f"index {T} is not positive semidefinite")
-    if m + n > args.trace_bound:
-        raise ValueError(f"index {T} exceeds the trace bound {args.trace_bound}")
+    Expansion(None, args.trace_bound, {T: 1})  # the constructor's bound and index checks
     c = _eval(_parse(args), args).coefficient(T)
     if args.format == "lines":
         print(c)

@@ -9,6 +9,7 @@ rejected before anything is evaluated):
     power  := atom ("^" INT)?
     atom   := NAME | NUMBER | "(" expr ")"
     NUMBER := INT ("/" INT)?        -- a rational literal, not division
+    INT    := [0-9]+                -- ASCII digits only
 
 Atoms are the generators X4 X6 X10 X12 X35 and the Eisenstein series
 E4 E6 E8 E10 E12.  Numeric literals have weight 0; a sum requires equal
@@ -73,23 +74,18 @@ _APPLY = {
 }
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<int>\d+)|(?P<op>[-+*^()/]))")
+_TOKEN = re.compile(
+    r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<int>[0-9]+)|(?P<op>[-+*^()/])|(?P<bad>\S))"
+)
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(src):
-        match = _TOKEN.match(src, pos)
-        if match is None:
-            bad = src[pos:].lstrip()
-            if not bad:
-                break
-            at = len(src) - len(bad)
-            raise ExprError(f"unexpected character {bad[0]!r}", at)
+    for match in _TOKEN.finditer(src):  # `bad` takes any other non-space: nothing is skipped
         kind = match.lastgroup
+        if kind == "bad":
+            raise ExprError(f"unexpected character {match.group(kind)!r}", match.start(kind))
         tokens.append((kind, match.group(kind), match.start(kind)))
-        pos = match.end()
     tokens.append(("end", "", len(src)))
     return tokens
 

@@ -25,7 +25,9 @@ Two coefficient domains are supported:
 
 Every operation computes with plain `+` and `*` in either domain and hands
 each result to one normaliser, `_canon`; `_embed` turns a rational scalar
-into a coefficient of the domain.
+into a coefficient of the domain.  The coefficient-wise operations
+(`scale`, `derivative`, `theta`) are each one call of `Expansion._map`,
+which maps every coefficient, canonicalises it and drops the zeros.
 
 Products use one kernel, `product_sums`: Kronecker substitution on the r
 axis (D. Harvey, "Faster polynomial multiplication via multipoint
@@ -381,12 +383,17 @@ class Expansion:
                     out.pop(T, None)
         return Expansion._raw(w, bound, out, p)
 
+    def _map(self, weight, value, p) -> "Expansion":
+        """The expansion of `weight` with a(T) -> value(T, a(T)), canonical
+        in the domain of p, zeros dropped."""
+        out = {T: v for T, c in self.coeffs.items() if (v := _canon(value(T, c), p))}
+        return Expansion._raw(weight, self.trace_bound, out, p)
+
     def scale(self, c) -> "Expansion":
         """Scalar multiple; preserves the weight."""
         p = self.modulus
         c = _embed(c, p)
-        out = {T: _canon(v * c, p) for T, v in self.coeffs.items()} if c else {}
-        return Expansion._raw(self.weight, self.trace_bound, out, p)
+        return self._map(self.weight, lambda T, v: v * c, p)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -408,18 +415,13 @@ class Expansion:
     def __pow__(self, e: int) -> "Expansion":
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = None
-        base = self
-        k = e
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                break
-            base = base * base
-        if result is None:
+        if not e:
             return Expansion.one(self.trace_bound, self.modulus)
+        result = self  # left to right: square, then multiply where a bit is set
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # ----- differential operators ------------------------------------------
@@ -433,16 +435,7 @@ class Expansion:
         slot = _AXIS_SLOT.get(axis)
         if slot is None:
             raise ValueError(f"axis must be one of 11, 12, 22; got {axis!r}")
-        p = self.modulus
-        out = {}
-        for T, c in self.coeffs.items():
-            f = T[slot]
-            if not f:
-                continue
-            v = _canon(c * f, p)
-            if v:
-                out[T] = v
-        return Expansion._raw(None, self.trace_bound, out, p)
+        return self._map(None, lambda T, c: c * T[slot], self.modulus)
 
     def theta(self) -> "Expansion":
         """a(T) -> det(T) a(T) with det(T) = (4mn - r^2)/4.
@@ -452,13 +445,7 @@ class Expansion:
         """
         p = self.modulus
         quarter = theta_quarter(p)
-        out = {}
-        for T, c in self.coeffs.items():
-            m, n, r = T
-            v = _canon((4 * m * n - r * r) * quarter * c, p)
-            if v:
-                out[T] = v
-        return Expansion._raw(None, self.trace_bound, out, p)
+        return self._map(None, lambda T, c: (4 * T[0] * T[1] - T[2] * T[2]) * quarter * c, p)
 
     def phi(self) -> list:
         """Siegel restriction to genus 1: the coefficient list [a((j,0,0))]_j=0..N."""
@@ -503,8 +490,9 @@ class Expansion:
 
     @classmethod
     def from_text(cls, text: str) -> "Expansion":
-        """Parse `to_text` output in one pass: the constructor's checks (prime
-        modulus, psd index in the bound, canonical nonzero value) inline."""
+        """Parse `to_text` output in one pass: the constructor checks the
+        header's bound and modulus, each line's checks (integer fields, psd
+        index in the bound, canonical nonzero value) run inline."""
         lines = (ln for ln in text.splitlines() if ln.strip())
         first = next(lines, None)
         if first is None:
@@ -520,26 +508,20 @@ class Expansion:
             p = int(head[4])
         else:
             raise ValueError(f"bad expansion header: {first!r}")
-        if bound < 0:
-            raise ValueError("trace bound must be >= 0")
-        if p is not None:
-            require_prime(p)
-        want = 5 if p is None else 4
+        out = cls(weight, bound, None, p)  # the constructor's bound and modulus checks
         coeffs = {}
         zeros = False
         for ln in lines:
-            parts = ln.split()
-            if len(parts) != want:
-                raise ValueError(f"bad coefficient line: {ln!r}")
-            if p is None:
-                m, n, r, v, den = map(int, parts)
-                if den != 1:
-                    if den == 0:
-                        raise ValueError(f"bad coefficient line: {ln!r}")
-                    v = _canon(Fraction(v, den), None)
-            else:
-                m, n, r, v = map(int, parts)
-                v %= p
+            try:  # a wrong field count, a non-integer field or a zero denominator
+                if p is None:
+                    m, n, r, v, den = map(int, ln.split())
+                    if den != 1:
+                        v = _canon(Fraction(v, den), None)
+                else:
+                    m, n, r, v = map(int, ln.split())
+                    v %= p
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"bad coefficient line: {ln!r}") from None
             T = m, n, r
             if T in coeffs:
                 raise ValueError(f"duplicate index {T}")
@@ -550,6 +532,5 @@ class Expansion:
             # a zero stays until the end, so a later line at its index is a duplicate
             zeros = zeros or not v
             coeffs[T] = v
-        if zeros:
-            coeffs = {T: v for T, v in coeffs.items() if v}
-        return cls._raw(weight, bound, coeffs, p)
+        out.coeffs = {T: v for T, v in coeffs.items() if v} if zeros else coeffs
+        return out

@@ -208,11 +208,13 @@ def test_coeff_rejects_bad_index(cli_cache, capsys):
      "error: coefficient 1/5 at index (0, 0, 0) is not 5-integral\n"),
     (["dump", "(" * 400 + "X4" + ")" * 400, "--prime", 23],
      f"error: parentheses nested deeper than {MAX_NESTING} (at position {MAX_NESTING})\n"),
+    (["coeff", "X4", 0, 0, 0, "--trace-bound", -1], "error: trace bound must be >= 0\n"),
     # ids: the argv after the expression, then the message
 ], ids=lambda case: "-".join(map(str, case[2:])) if isinstance(case, list) else case)
 def test_coeff_rejects_bad_index_before_any_build(tmp_path, capsys, argv, message):
-    # argv alone decides these: the cache directory stays empty
-    status, out, err = run(capsys, *argv, "--trace-bound", 14, "--cache-dir", tmp_path)
+    # argv alone decides these: the cache directory stays empty; a bound in
+    # argv comes later than the default 14, so it wins
+    status, out, err = run(capsys, argv[0], "--trace-bound", 14, *argv[1:], "--cache-dir", tmp_path)
     assert (status, out, err) == (2, "", message)
     assert list(tmp_path.iterdir()) == []
 

@@ -1,9 +1,11 @@
 """Tests of the expression parser and evaluator."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
+from siegel2.cli import main
 from siegel2.expr import MAX_NESTING, ExprError, eval_expr, literals, parse
 from siegel2.qexp import Expansion
 
@@ -119,6 +121,16 @@ def test_error_positions_point_at_offender():
     with pytest.raises(ExprError) as err:
         parse("X4^2 + ")
     assert err.value.position >= 7
+
+
+def test_only_ascii_digits_are_numbers(tmp_path, capsys):
+    # an Arabic-Indic three once parsed as the literal 3
+    with pytest.raises(ExprError, match=re.escape("unexpected character '\u0663' (at position 0)")):
+        parse("\u0663*X4")
+    status = main(["coeff", "\u0663*X4", "1", "0", "0", "--cache-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert (status, err) == (2, "error: unexpected character '\u0663' (at position 0)\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pow_nodes_track_weight():

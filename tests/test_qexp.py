@@ -198,6 +198,24 @@ def test_mul_binomial_example():
     assert cube.coefficient((3, 0, 0)) == 1
 
 
+@pytest.mark.parametrize("e", range(18))
+def test_pow_is_repeated_multiplication_by_square_and_multiply(monkeypatch, e):
+    F = Expansion(4, 6, {(0, 0, 0): 1, (1, 0, 0): 2, (1, 1, -1): Fraction(-1, 3)})
+    power = Expansion.one(6)
+    for _ in range(e):
+        power = power * F
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return product_sums(*args, **kwargs)
+
+    monkeypatch.setattr("siegel2.qexp.product_sums", counted)
+    assert F ** e == power
+    # bit_length - 1 squarings and popcount - 1 multiplies by F
+    assert len(calls) == ((e.bit_length() - 1) + (bin(e).count("1") - 1) if e else 0)
+
+
 def test_mul_weight_addition_and_identity():
     F = Expansion(4, 4, {(1, 1, 0): 7})
     G = Expansion(6, 4, {(1, 0, 0): 2})
@@ -677,6 +695,8 @@ MALFORMED = [  # (text, the message of its refusal)
     ("qexp 4 3 rational\n1 1 1 1\n", "bad coefficient line: '1 1 1 1'"),  # no denominator
     ("qexp 4 3 mod 23\n1 1 1 1 1\n", "bad coefficient line: '1 1 1 1 1'"),
     ("qexp 4 3 rational\n1 1 1 1 0\n", "bad coefficient line: '1 1 1 1 0'"),
+    ("qexp 4 3 rational\n1 0 0 1e3 1\n", "bad coefficient line: '1 0 0 1e3 1'"),
+    ("qexp 4 3 rational\n1 0 0 x 1\n", "bad coefficient line: '1 0 0 x 1'"),
     ("qexp 4 3 rational\n1 1 1 1 1\n1 1 1 2 1\n", "duplicate index (1, 1, 1)"),
     ("qexp 4 3 rational\n1 1 1 0 1\n1 1 1 2 1\n", "duplicate index (1, 1, 1)"),
     ("qexp 4 3 mod 23\n1 1 3 1\n", "index (1, 1, 3) is not positive semidefinite"),
