@@ -44,11 +44,11 @@ d12 X, d11 X, d22 X) negates the determinant; the normalization at
 (2, 3, -1) cancels the sign.  The swap sigma: (m, n, r) -> (n, m, r)
 fixes each modular even generator, so it fixes k X and d12 X and swaps
 d11 X and d22 X: the top minors are sigma-symmetric, the low minors and
-the six products antisymmetric.  `build_x35` hands the `qexp` kernel
-each row entry as an operand (X, k or axis) of its generator, the 12
-minors in one call, each only to the trace its complementary minor leaves,
-then the six products.  When its four columns are sigma-symmetric it
-passes these parities, and it gets the minors and the determinant on
+the six products antisymmetric.  `build_x35` takes sigma-symmetric
+columns only and refuses others.  It hands the `qexp` kernel each row
+entry as an operand (X, k or axis) of its generator with these parities,
+the 12 minors in one call, each only to the trace its complementary minor
+leaves, then the six products, and gets the minors and the determinant on
 their half m <= n; it normalizes that half at (2, 3, -1), leaving a
 Fraction only where the pivot does not divide, and mirrors it.
 """
@@ -175,10 +175,12 @@ def eisenstein_family(trace_bound: int) -> dict[int, Expansion]:
     return family
 
 
-def _cusp_violation(F: Expansion) -> tuple[int, int, int] | None:
-    """The least index of rank <= 1 (4mn = r^2) with a nonzero coefficient."""
+def _require_cusp(name: str, F: Expansion) -> None:
+    """Refuse F at its least nonzero coefficient of rank <= 1 (4mn = r^2)."""
     flat = [T for T in F.coeffs if 4 * T[0] * T[1] == T[2] * T[2]]
-    return min(flat, key=order_key, default=None)
+    if flat:
+        T = min(flat, key=order_key)
+        raise ConstructionError(f"{name} has a nonzero rank<=1 coefficient at {T}")
 
 
 def build_x10_x12(trace_bound: int) -> tuple[Expansion, Expansion]:
@@ -219,22 +221,10 @@ def build_x10_x12(trace_bound: int) -> tuple[Expansion, Expansion]:
     return x10, maass_lift(c12.__getitem__, 12, trace_bound)
 
 
-_DET4_TERMS = (
-    # (top column pair, bottom column pair, sign): Laplace expansion of a
-    # 4x4 determinant along its first two rows
-    ((0, 1), (2, 3), 1),
-    ((0, 2), (1, 3), -1),
-    ((0, 3), (1, 2), 1),
-    ((1, 2), (0, 3), 1),
-    ((1, 3), (0, 2), -1),
-    ((2, 3), (0, 1), 1),
-)
-
-
 def build_x35(x4: Expansion, x6: Expansion, x10: Expansion, x12: Expansion) -> Expansion:
     """The odd generator: normalized determinant of the four even generators
     and their normalized partials (weight 35), by the Laplace expansion of
-    the module docstring."""
+    the module docstring; a column that is not sigma-symmetric raises ValueError."""
     forms = (x4, x6, x10, x12)
     bound = min(f.trace_bound for f in forms)
     if bound < MIN_BUILD_BOUND:
@@ -242,12 +232,11 @@ def build_x35(x4: Expansion, x6: Expansion, x10: Expansion, x12: Expansion) -> E
     p = x4.modulus
     if any(f.modulus != p for f in forms):
         raise ValueError("domain mismatch: the four generators must share one domain")
-    # sigma-symmetric columns give top minors of parity +1, low minors and
-    # their products of parity -1 (module docstring)
-    even = all(f.coeffs == {(n, m, r): v for (m, n, r), v in f.coeffs.items()} for f in forms)
-    column, top_parity, low_parity = (1, 1, -1) if even else (None, None, None)
-    rows = [[(f.coeffs, f.weight, column) for f in forms]]
-    rows += [[(f.coeffs, axis, column) for f in forms] for axis in ("12", "11", "22")]
+    if any(f.coeffs != {(n, m, r): v for (m, n, r), v in f.coeffs.items()} for f in forms):
+        raise ValueError("not sigma-symmetric: the four generators need a(m, n, r) = a(n, m, r)")
+    # so the top minors have parity +1, the low minors and their products -1
+    rows = [[(f.coeffs, f.weight, 1) for f in forms]]
+    rows += [[(f.coeffs, axis, 1) for f in forms] for axis in ("12", "11", "22")]
     # a minor is needed only to trace bound - t, where t is the lowest trace of
     # its complementary minor, so at least that of a product of two entries:
     # an entry's is its generator's, and at least 2 in row d12 (r != 0 needs
@@ -260,11 +249,11 @@ def build_x35(x4: Expansion, x6: Expansion, x10: Expansion, x12: Expansion) -> E
     reaches = [bound - t for t in first[:5:-1] + first[5::-1]]
     sums = [[(1, top[i], low[j]), (-1, top[j], low[i])]
             for top, low in (rows[:2], rows[2:]) for i, j in pairs]
-    minors = product_sums(sums, max(reaches), p, [top_parity] * 6 + [low_parity] * 6, reaches)
-    top = {ij: (F, 1, top_parity) for ij, F in zip(pairs, minors)}
-    low = {ij: (F, 1, low_parity) for ij, F in zip(pairs, minors[6:])}
-    terms = [(sign, top[ij], low[kl]) for ij, kl, sign in _DET4_TERMS]
-    det = product_sums([terms], bound, p, [low_parity])[0]
+    minors = product_sums(sums, max(reaches), p, [1] * 6 + [-1] * 6, reaches)
+    # term q: top minor q times the low minor of its complement, sign (-1)^(1+i+j)
+    terms = [((-1) ** (1 + i + j), (minors[q], 1, 1), (minors[11 - q], 1, -1))
+             for q, (i, j) in enumerate(pairs)]
+    det = product_sums([terms], bound, p, [-1])[0]
     pivot = det.get((2, 3, -1))
     if not pivot:
         raise ConstructionError("determinant vanishes at the normalization index (2,3,-1)")
@@ -274,8 +263,8 @@ def build_x35(x4: Expansion, x6: Expansion, x10: Expansion, x12: Expansion) -> E
     else:  # a Fraction only where the pivot does not divide, for integrality_check
         x35 = {T: Fraction(v) / pivot if rest else q
                for T, v in det.items() for q, rest in [divmod(v, pivot)]}
-    if even:  # the determinant is sigma-antisymmetric: its half m <= n gives the rest
-        x35 |= {(n, m, r): -v % p if p else -v for (m, n, r), v in x35.items() if m < n}
+    # the determinant is sigma-antisymmetric: its half m <= n gives the rest
+    x35 |= {(n, m, r): -v % p if p else -v for (m, n, r), v in x35.items() if m < n}
     return Expansion._raw(35, bound, x35, p)
 
 
@@ -331,14 +320,14 @@ def build_generator_set(trace_bound: int) -> GeneratorSet:
         )
     family = eisenstein_family(trace_bound)
     x10, x12 = build_x10_x12(trace_bound)
+    # first the columns of X35: build_x35 refuses one that is not sigma-symmetric
+    _require_cusp("X10", x10)
+    _require_cusp("X12", x12)
     x35 = build_x35(family[4], family[6], x10, x12)
+    _require_cusp("X35", x35)
     forms = {f"E{k}": family[k] for k in SUPPORTED_WEIGHTS}
     forms |= {"X4": family[4], "X6": family[6], "X10": x10, "X12": x12, "X35": x35}
     gen = GeneratorSet(forms, trace_bound)
-    for name in ("X10", "X12", "X35"):
-        bad = _cusp_violation(gen.atom(name))
-        if bad is not None:
-            raise ConstructionError(f"{name} has a nonzero rank<=1 coefficient at {bad}")
     for name, idx in (
         ("X4", (0, 0, 0)),
         ("X6", (0, 0, 0)),

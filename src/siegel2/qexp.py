@@ -261,6 +261,11 @@ def product_sums(sums, bound: int, p: int | None, parities=None,
 _AXIS_SLOT = {"11": 0, "12": 2, "22": 1}  # which of (m, n, r) multiplies
 
 
+def _foreign(s: str) -> bool:
+    """Whether s has a character int() reads but `to_text` never writes."""
+    return not s.isascii() or "_" in s or "+" in s
+
+
 class Expansion:
     """A trace-truncated Fourier expansion (see module docstring).
 
@@ -492,13 +497,14 @@ class Expansion:
     def from_text(cls, text: str) -> "Expansion":
         """Parse `to_text` output in one pass: the constructor checks the
         header's bound and modulus, each line's checks (integer fields, psd
-        index in the bound, canonical nonzero value) run inline."""
+        index in the bound, canonical nonzero value) run inline; a non-ASCII
+        character, `_` or `+` is refused by one scan of the whole text."""
         lines = (ln for ln in text.splitlines() if ln.strip())
         first = next(lines, None)
         if first is None:
             raise ValueError("empty expansion text")
         head = first.split()
-        if len(head) < 4 or head[0] != "qexp":
+        if len(head) < 4 or head[0] != "qexp" or _foreign(first):
             raise ValueError(f"bad expansion header: {first!r}")
         weight = None if head[1] == "-" else int(head[1])
         bound = int(head[2])
@@ -509,6 +515,10 @@ class Expansion:
         else:
             raise ValueError(f"bad expansion header: {first!r}")
         out = cls(weight, bound, None, p)  # the constructor's bound and modulus checks
+        if _foreign(text):
+            # split at "\n" only: splitlines() would drop a separator such as "\x85"
+            bad = next(ln for ln in text.split("\n") if _foreign(ln))
+            raise ValueError(f"bad coefficient line: {bad!r}")
         coeffs = {}
         zeros = False
         for ln in lines:

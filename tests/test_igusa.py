@@ -453,9 +453,10 @@ def dense_columns(value, modulus=None, bound=7):
 
 
 def flip(T, j):
-    """-1 on the block (j, 1) of column j, else 1: no two columns are then
-    proportional, and the determinant does not vanish."""
-    return -1 if T[:2] == (j, 1) else 1
+    """-1 on the blocks (j, 1) and (1, j) of column j, else 1: the columns
+    stay sigma-symmetric, no two of them are proportional, and the
+    determinant does not vanish."""
+    return -1 if j in T[:2] and 1 in T[:2] else 1
 
 
 # every coefficient at the top of its range fills the slots of the packed
@@ -472,9 +473,8 @@ def test_build_x35_on_dense_extreme_operands(forms):
 # small columns whose determinant the pivot at (2, 3, -1) mostly does not
 # divide: X35 keeps a Fraction there for integrality_check to name
 @pytest.mark.parametrize("value", [
-    lambda T, j: (3 * T[0] + 5 * T[1] + T[0] * T[1] + abs(T[2]) + 7 * j) % 11 - 5,
     lambda T, j: (3 * (T[0] + T[1]) + T[0] * T[1] + abs(T[2]) + 7 * j) % 11 - 5,
-], ids=["columns", "sigma-symmetric-columns"])
+], ids=["sigma-symmetric-columns"])
 def test_build_x35_keeps_a_fraction_where_the_pivot_does_not_divide(value):
     forms = dense_columns(value, bound=6)
     x35 = build_x35(*forms)
@@ -482,15 +482,22 @@ def test_build_x35_keeps_a_fraction_where_the_pivot_does_not_divide(value):
     assert integrality_check({"X35": x35})
 
 
-def test_build_x35_takes_rational_and_mod_p_operands(genset9):
+def test_build_x35_takes_rational_and_mod_p_operands(genset):
     # the determinant is linear in each column, so the normalization
     # cancels a scaled operand, and reduction mod p commutes with it
-    x4, x6, x10, x12 = (genset9.atom("X4"), genset9.atom("X6"), genset9.atom("X10"), genset9.atom("X12"))
-    assert build_x35(x4, x6, x10.scale(Fraction(1, 2)), x12) == genset9.atom("X35")
-    assert build_x35(x4, x6.scale(Fraction(3, 7)), x10, x12.scale(Fraction(-1, 2))) == genset9.atom("X35")
-    for p in (23, 7):
+    x4, x6, x10, x12 = (genset.atom("X4"), genset.atom("X6"), genset.atom("X10"), genset.atom("X12"))
+    assert build_x35(x4, x6, x10.scale(Fraction(1, 2)), x12) == genset.atom("X35")
+    assert build_x35(x4, x6.scale(Fraction(3, 7)), x10, x12.scale(Fraction(-1, 2))) == genset.atom("X35")
+    for p in (5, 7, 23):
         reduced = [f.reduce_mod(p) for f in (x4, x6, x10, x12)]
-        assert build_x35(*reduced) == genset9.atom("X35").reduce_mod(p)
+        assert build_x35(*reduced) == genset.atom("X35").reduce_mod(p)
+
+
+def test_build_x35_refuses_columns_that_are_not_sigma_symmetric():
+    forms = dense_columns(lambda T, j: flip(T, j) * 22)
+    forms[2].coeffs[1, 2, 1] = 7  # a(2, 1, 1) stays -22
+    with pytest.raises(ValueError, match="not sigma-symmetric"):
+        build_x35(*forms)
 
 
 def test_build_x35_requires_trace_five():

@@ -697,6 +697,12 @@ MALFORMED = [  # (text, the message of its refusal)
     ("qexp 4 3 rational\n1 1 1 1 0\n", "bad coefficient line: '1 1 1 1 0'"),
     ("qexp 4 3 rational\n1 0 0 1e3 1\n", "bad coefficient line: '1 0 0 1e3 1'"),
     ("qexp 4 3 rational\n1 0 0 x 1\n", "bad coefficient line: '1 0 0 x 1'"),
+    # int() reads these, to_text never writes them
+    ("qexp 4 3 rational\n1 0 0 \u0663 1\n", "bad coefficient line: '1 0 0 \u0663 1'"),
+    ("qexp 4 3 rational\n1 0 0 2_40 1\n", "bad coefficient line: '1 0 0 2_40 1'"),
+    ("qexp 4 3 rational\n1 0 0 +7 1\n", "bad coefficient line: '1 0 0 +7 1'"),
+    ("qexp \u0664 3 rational\n", "bad expansion header: 'qexp \u0664 3 rational'"),
+    ("qexp 4 3 mod 2_3\n", "bad expansion header: 'qexp 4 3 mod 2_3'"),
     ("qexp 4 3 rational\n1 1 1 1 1\n1 1 1 2 1\n", "duplicate index (1, 1, 1)"),
     ("qexp 4 3 rational\n1 1 1 0 1\n1 1 1 2 1\n", "duplicate index (1, 1, 1)"),
     ("qexp 4 3 mod 23\n1 1 3 1\n", "index (1, 1, 3) is not positive semidefinite"),
