@@ -59,7 +59,7 @@ import os
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from pathlib import Path
 
 from .numtheory import bernoulli, cohen_h, divisor_sigma, divisors, h_series
@@ -130,19 +130,16 @@ def _lift_keys(trace_bound: int):
     return indices, keys
 
 
-def maass_lift(c, k: int, trace_bound: int) -> Expansion:
+def maass_lift(nums, den: int, k: int, trace_bound: int) -> Expansion:
     """The weight-k Maass lift of the index-1 Jacobi form whose coefficient
-    at discriminant D = 4n - r^2 is c(D) (see the module docstring)."""
-    values = [c(D) for D in range(trace_bound * trace_bound + 1)]
-    # the divisor sums run over integers: the c(D) times their common denominator
-    den = lcm(*(v.denominator for v in values))
-    nums = [v.numerator * (den // v.denominator) for v in values]
+    at discriminant D = 4n - r^2 is c(D) = nums[D] / den, for integers
+    nums[D] and den > 0 (see the module docstring)."""
     powers = [d ** (k - 1) for d in range(trace_bound + 1)]
     indices, keys = _lift_keys(trace_bound)
     lifted = {key: sum(nums[D] * powers[d] for D, d in terms) for key, terms in keys.items()}
     if den != 1:
         lifted = {key: _canon(Fraction(a, den), None) for key, a in lifted.items()}
-    a0 = _canon(-bernoulli(k) / (2 * k) * values[0], None)
+    a0 = _canon(-bernoulli(k) * nums[0] / (2 * k * den), None)
     coeffs = {(0, 0, 0): a0} if a0 else {}
     coeffs |= {T: v for T, key in indices if (v := lifted[key])}
     return Expansion._raw(k, trace_bound, coeffs, None)
@@ -154,12 +151,12 @@ def siegel_eisenstein(k: int, trace_bound: int) -> Expansion:
         raise ValueError(f"weight must be one of {SUPPORTED_WEIGHTS}")
     zeta_1mk = -bernoulli(k) / k
     zeta_3m2k = cohen_h(k - 1, 0)
-    prefactor = 2 / (zeta_1mk * zeta_3m2k)
+    a, b = (2 / (zeta_1mk * zeta_3m2k)).as_integer_ratio()  # c(D) = a/b H(k-1, D)
     try:  # every H(k-1, D), D <= trace_bound^2
-        h = h_series(k - 1, trace_bound * trace_bound + 1)
+        total, den = h_series(k - 1, trace_bound * trace_bound + 1)
     except ValueError as exc:
         raise ConstructionError(str(exc)) from None
-    return maass_lift(lambda D: h[D] and prefactor * h[D], k, trace_bound)
+    return maass_lift([a * t for t in total], b * den, k, trace_bound)
 
 
 def eisenstein_family(trace_bound: int) -> dict[int, Expansion]:
@@ -217,8 +214,7 @@ def build_x10_x12(trace_bound: int) -> tuple[Expansion, Expansion]:
         19 * sum(e2[j] * c10[D - 4 * j] for j in range(D // 4 + 1)) - 6 * D * c10[D]
         for D in range(max_disc + 1)
     ]
-    x10 = maass_lift(c10.__getitem__, 10, trace_bound)
-    return x10, maass_lift(c12.__getitem__, 12, trace_bound)
+    return maass_lift(c10, 1, 10, trace_bound), maass_lift(c12, 1, 12, trace_bound)
 
 
 def build_x35(x4: Expansion, x6: Expansion, x10: Expansion, x12: Expansion) -> Expansion:

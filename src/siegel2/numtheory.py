@@ -23,7 +23,8 @@ Conventions:
   from H(r, 0), one plus-space row for each N < 2J + 4 outside the plus
   space and one T(9) row for each 0 < N < 2J + 4, by fraction-free
   integer elimination.  The rows outnumber the coordinates, and the
-  surplus checks the solve.  Every H(r, N) then comes from the series.
+  surplus checks the solve.  Every H(r, N) then comes from the series,
+  as total[N] / den over one denominator (`h_series` returns total, den).
 
 Factorization is plain trial division: every input in this package is desk
 scale (bounded by a small multiple of the trace bound squared).  Primality
@@ -163,7 +164,8 @@ def cohen_h(r: int, n: int) -> Fraction:
         raise ValueError("H(r, N) needs N >= 0")
     if n == 0:
         return -bernoulli(2 * r) / (2 * r)
-    return h_series(r, n + 1)[n]
+    total, den = h_series(r, n + 1)
+    return Fraction(total[n], den)
 
 
 def _eliminate(row: list[int], pivot: list[int], col: int) -> list[int]:
@@ -175,10 +177,11 @@ def _eliminate(row: list[int], pivot: list[int], col: int) -> list[int]:
     return [v // g for v in out] if g > 1 else out
 
 
-def h_series(r: int, count: int) -> list[Fraction]:
-    """[H(r, 0), ..., H(r, count - 1)] for r >= 2 by the solve of the module
-    docstring; ValueError when its rows leave the J + 1 coordinates unfixed
-    or contradict each other."""
+def h_series(r: int, count: int) -> tuple[list[int], int]:
+    """H(r, 0), ..., H(r, count - 1) for r >= 2 by the solve of the module
+    docstring, as integers over one denominator: (total, den) with
+    H(r, N) = total[N] / den.  ValueError when its rows leave the J + 1
+    coordinates unfixed or contradict each other."""
     top = (2 * r + 1) // 4
     reach = 2 * top + 4  # the rows are set at n < reach and read a(9n)
     basis = [_theta_f(2 * r + 1 - 4 * j, j, max(count, 9 * reach - 8)) for j in range(top + 1)]
@@ -207,4 +210,4 @@ def h_series(r: int, count: int) -> list[Fraction]:
     total = [0] * count
     for c, b in zip(coeffs, basis):
         total = [t + c.numerator * (den // c.denominator) * v for t, v in zip(total, b)]
-    return [Fraction(t, den) for t in total]
+    return total, den

@@ -51,6 +51,12 @@ r.  A sum with that promise multiplies only the block pairs whose target
 block has m <= n and returns only that half, ready to be handed on as an
 operand of parity e.  No promise is checked.
 
+The text form has one grammar, written by `to_text` and alone read by
+`from_text`: a header `qexp <weight|-> <trace_bound> <rational|mod p>`,
+then `m n r numerator denominator` (rational) or `m n r residue` (mod p)
+per nonzero coefficient, each field an ASCII integer 0|-?[1-9][0-9]*
+one space from the next, each line ended by a line feed.
+
 Indices are ordered lexicographically by (trace, m, r).  `order_key` is
 the sort key realizing this total order on index triples (which need not
 be positive semidefinite: the order lives on all of Lambda_2), and every
@@ -63,8 +69,10 @@ distinct known weights is refused; `None` absorbs.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
 from math import isqrt, lcm
 from typing import Iterator
 
@@ -261,9 +269,11 @@ def product_sums(sums, bound: int, p: int | None, parities=None,
 _AXIS_SLOT = {"11": 0, "12": 2, "22": 1}  # which of (m, n, r) multiplies
 
 
-def _foreign(s: str) -> bool:
-    """Whether s has a character int() reads but `to_text` never writes."""
-    return not s.isascii() or "_" in s or "+" in s
+# the text grammar of the module docstring, a line at a time: one match over
+# all lines would keep backtracking state for every field
+_INT = "(?:-?[1-9][0-9]*|0)"
+_HEADER = re.compile(rf"qexp (?:-|({_INT})) ({_INT}) (?:rational|mod ({_INT}))\n")
+_LINE = {count: re.compile(" ".join([_INT] * count) + "\n") for count in (4, 5)}
 
 
 class Expansion:
@@ -478,12 +488,7 @@ class Expansion:
     # ----- serialization ------------------------------------------------------
 
     def to_text(self) -> str:
-        """Line-oriented text form; sorted by the index order, bit-stable.
-
-        Header: `qexp <weight|-> <trace_bound> <rational|mod p>`, then one
-        line per nonzero coefficient: `m n r numerator denominator` in the
-        rational domain, `m n r residue` mod p.
-        """
+        """The text form of the module docstring, lines in the index order."""
         w = "-" if self.weight is None else self.weight
         lines = [f"qexp {w} {self.trace_bound} {self._domain()}"]
         rational = self.modulus is None
@@ -495,43 +500,32 @@ class Expansion:
 
     @classmethod
     def from_text(cls, text: str) -> "Expansion":
-        """Parse `to_text` output in one pass: the constructor checks the
-        header's bound and modulus, each line's checks (integer fields, psd
-        index in the bound, canonical nonzero value) run inline; a non-ASCII
-        character, `_` or `+` is refused by one scan of the whole text."""
-        lines = (ln for ln in text.splitlines() if ln.strip())
-        first = next(lines, None)
-        if first is None:
-            raise ValueError("empty expansion text")
-        head = first.split()
-        if len(head) < 4 or head[0] != "qexp" or _foreign(first):
-            raise ValueError(f"bad expansion header: {first!r}")
-        weight = None if head[1] == "-" else int(head[1])
-        bound = int(head[2])
-        if head[3] == "rational" and len(head) == 4:
-            p = None
-        elif head[3] == "mod" and len(head) == 5:
-            p = int(head[4])
-        else:
-            raise ValueError(f"bad expansion header: {first!r}")
+        """Parse `to_text` output and nothing else: the text must match the
+        grammar of the module docstring (ASCII integers 0|-?[1-9][0-9]*, one
+        space apart, every line ended by a line feed) before a field is read.
+        The constructor checks the header's bound and modulus; each line's
+        index (psd, in the bound, new) and denominator are checked inline."""
+        head = _HEADER.match(text)
+        if head is None:
+            first = text.partition("\n")[0]
+            raise ValueError(f"bad expansion header: {first!r}" if text.strip() else "empty expansion text")
+        weight, bound, p = (g and int(g) for g in head.groups())  # None: "-", rational
         out = cls(weight, bound, None, p)  # the constructor's bound and modulus checks
-        if _foreign(text):
-            # split at "\n" only: splitlines() would drop a separator such as "\x85"
-            bad = next(ln for ln in text.split("\n") if _foreign(ln))
+        body, line = text[head.end():], _LINE[5 if p is None else 4]
+        if line.sub("", body):  # the body is not all lines of the grammar
+            *lines, last = body.split("\n")  # last is "" after a final line feed
+            bad = next((ln for ln in lines if not line.fullmatch(ln + "\n")), last)
             raise ValueError(f"bad coefficient line: {bad!r}")
+        fields = map(int, body.split())
         coeffs = {}
         zeros = False
-        for ln in lines:
-            try:  # a wrong field count, a non-integer field or a zero denominator
-                if p is None:
-                    m, n, r, v, den = map(int, ln.split())
-                    if den != 1:
-                        v = _canon(Fraction(v, den), None)
-                else:
-                    m, n, r, v = map(int, ln.split())
-                    v %= p
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"bad coefficient line: {ln!r}") from None
+        for m, n, r, v, den in zip(*[fields] * 5) if p is None else zip(*[fields] * 4, repeat(1)):
+            if den != 1:
+                if not den:  # the grammar makes the line the text of its row
+                    raise ValueError(f"bad coefficient line: '{m} {n} {r} {v} {den}'")
+                v = _canon(Fraction(v, den), None)
+            elif p is not None:
+                v %= p
             T = m, n, r
             if T in coeffs:
                 raise ValueError(f"duplicate index {T}")

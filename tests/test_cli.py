@@ -340,6 +340,19 @@ def test_zero_denominator_in_a_cache_file_is_refused(genset9, tmp_path, capsys):
     )
 
 
+def test_control_character_in_a_cache_file_is_refused(genset9, tmp_path, capsys):
+    # str.split() reads "\x1f" as a space: the damaged line used to load,
+    # and `coeff` answered with exit status 0
+    save_generator_set(genset9, tmp_path)
+    path = cache_path(tmp_path, "X35", 9)
+    text = path.read_text()
+    assert "\n2 3 1 -1 1\n" in text
+    path.write_text(text.replace("\n2 3 1 -1 1\n", "\n2 3 1\x1f-1 1\n"))
+    assert run(capsys, "coeff", "X35", 2, 3, -1, "--trace-bound", 9, "--cache-dir", tmp_path) == (
+        2, "", f"error: cache file {path}: bad coefficient line: '2 3 1\\x1f-1 1'\n"
+    )
+
+
 def test_coeff_rejects_bad_expression(cli_cache, capsys):
     status, out, err = run(
         capsys, "coeff", "X4 + X6", 1, 1, 0, "--cache-dir", cli_cache

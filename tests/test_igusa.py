@@ -11,7 +11,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -108,7 +108,8 @@ def test_maass_lift_matches_the_divisor_sum(k):
     # over every divisor d of the content, with no memo
     rng = random.Random(k)
     values = {D: Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for D in range(8 * 8 + 1)}
-    F = maass_lift(values.__getitem__, k, 8)
+    den = lcm(*(v.denominator for v in values.values()))
+    F = maass_lift([values[D].numerator * (den // values[D].denominator) for D in values], den, k, 8)
     assert all(type(T) is tuple for T in F.coeffs)
     assert F.coefficient((0, 0, 0)) == -bernoulli(k) / (2 * k) * values[0]
     contents = set()

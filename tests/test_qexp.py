@@ -686,7 +686,7 @@ def test_text_format_shape():
 MALFORMED = [  # (text, the message of its refusal)
     ("", "empty expansion text"),
     ("\n  \n", "empty expansion text"),
-    ("qexp 4 x rational\n", "invalid literal for int() with base 10: 'x'"),
+    ("qexp 4 x rational\n", "bad expansion header: 'qexp 4 x rational'"),
     ("nope 4 3 rational\n", "bad expansion header: 'nope 4 3 rational'"),
     ("qexp 4 3 rational 7\n", "bad expansion header: 'qexp 4 3 rational 7'"),
     ("qexp 4 3 mod\n", "bad expansion header: 'qexp 4 3 mod'"),
@@ -703,6 +703,17 @@ MALFORMED = [  # (text, the message of its refusal)
     ("qexp 4 3 rational\n1 0 0 +7 1\n", "bad coefficient line: '1 0 0 +7 1'"),
     ("qexp \u0664 3 rational\n", "bad expansion header: 'qexp \u0664 3 rational'"),
     ("qexp 4 3 mod 2_3\n", "bad expansion header: 'qexp 4 3 mod 2_3'"),
+    # str.split() and int() read these too: separators other than one
+    # space, leading zeros, -0, a blank line, a last line without its "\n"
+    ("qexp 4 3 rational\n1\x1f0 0 3 1\n", "bad coefficient line: '1\\x1f0 0 3 1'"),
+    ("qexp 4 3 rational\n1\t0 0 3 1\n", "bad coefficient line: '1\\t0 0 3 1'"),
+    ("qexp 4 3 rational\n1  0 0 3 1\n", "bad coefficient line: '1  0 0 3 1'"),
+    ("qexp 4 3 rational\n1 0 0 007 1\n", "bad coefficient line: '1 0 0 007 1'"),
+    ("qexp 4 3 rational\n1 0 0 -0 1\n", "bad coefficient line: '1 0 0 -0 1'"),
+    ("qexp 4 3 rational\n1 0 0 3 1\n\n1 1 0 3 1\n", "bad coefficient line: ''"),
+    ("qexp 4 3 rational\n1 0 0 3 1", "bad coefficient line: '1 0 0 3 1'"),
+    ("qexp\x1f4 3 rational\n", "bad expansion header: 'qexp\\x1f4 3 rational'"),
+    ("qexp 4 03 rational\n", "bad expansion header: 'qexp 4 03 rational'"),
     ("qexp 4 3 rational\n1 1 1 1 1\n1 1 1 2 1\n", "duplicate index (1, 1, 1)"),
     ("qexp 4 3 rational\n1 1 1 0 1\n1 1 1 2 1\n", "duplicate index (1, 1, 1)"),
     ("qexp 4 3 mod 23\n1 1 3 1\n", "index (1, 1, 3) is not positive semidefinite"),
@@ -715,6 +726,17 @@ def test_from_text_rejects_malformed():
     for text, message in MALFORMED:
         with pytest.raises(ValueError, match=re.escape(message)):
             Expansion.from_text(text)
+
+
+@given(F=st.one_of(expansions(weight=4), expansions(modulus=13)), data=st.data())
+def test_from_text_refuses_any_one_character_changed_to_a_foreign_one(F, data):
+    # every text to_text writes is ASCII integers one space apart, each line
+    # ending with "\n": none of these characters can take one's place
+    text = F.to_text()
+    i = data.draw(st.integers(0, len(text) - 1))
+    c = data.draw(st.sampled_from([c for c in "\t\x1c\x1d\x1e\x1f\r +_\u0663" if c != text[i]]))
+    with pytest.raises(ValueError):
+        Expansion.from_text(text[:i] + c + text[i + 1:])
 
 
 def test_from_text_stores_canonical_nonzero_values():
