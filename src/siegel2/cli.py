@@ -17,6 +17,13 @@ checks the bound and resolves the cache directory once, before any
 command runs; `sturm` takes the weight the parser infers.
 `scripts/reproduce_mod23.py ARGS` is `main(["verify", *ARGS])`.
 
+`import siegel2.cli` imports `igusa` and `qexp`; `main` imports the rest
+as the command needs it (`_USES`): `expr` for coeff, dump and theta,
+`expr` and `congruence` for minmat and sturm, `congruence` and
+`reference` for verify, nothing more for build.  Their names are read as
+attributes of this module all the same (`__getattr__`).  `coeff`
+evaluates its expression on the box of its index (`eval_expr(..., at=T)`).
+
 Exit status: 0 success/certified, 1 refuted (with witness), 2 usage error
 or insufficient trace bound.
 """
@@ -26,29 +33,54 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 
-from .congruence import (
-    CERTIFIED,
-    INSUFFICIENT,
-    REFUTED,
-    Certificate,
-    CheckRecord,
-    min_matrix,
-    sturm_bound_even,
-    sturm_bound_odd,
-    sturm_even,
-    sturm_odd,
-    theta_mod5_insufficient,
-    verify_x35_mod23,
-    verify_theta_mod5,
-    x35_mod23_insufficient,
-)
-from .expr import eval_expr, literals, parse
 from .igusa import (
     CACHE_NAMES, MIN_BUILD_BOUND, ConstructionError, cache_path, ensure_generator_set,
 )
 from .qexp import Expansion, iter_l2_indices, require_prime, theta_quarter
-from .reference import X35_LOW_TRACE, x35_reference_violations
+
+# the names `cli` takes from each module it imports on demand: `main` binds
+# those of its command's modules (`_USES`), `__getattr__` those of any
+# other read, `cli.parse` say.  A name bound already, to a caller's
+# wrapper say, is kept.
+_DEFERRED = {
+    "congruence": (
+        "CERTIFIED", "INSUFFICIENT", "REFUTED", "Certificate", "CheckRecord",
+        "min_matrix", "sturm_bound_even", "sturm_bound_odd", "sturm_even", "sturm_odd",
+        "theta_mod5_insufficient", "verify_x35_mod23", "verify_theta_mod5",
+        "x35_mod23_insufficient",
+    ),
+    "expr": ("eval_expr", "literals", "parse"),
+    "reference": ("X35_LOW_TRACE", "x35_reference_violations"),
+}
+# the deferred modules of each command
+_USES = {
+    "build": (),
+    "verify": ("congruence", "reference"),
+    "coeff": ("expr",),
+    "minmat": ("congruence", "expr"),
+    "theta": ("expr",),
+    "sturm": ("congruence", "expr"),
+    "dump": ("expr",),
+}
+
+
+def _bind(*modules) -> None:
+    """Import each deferred module and bind its names where none is bound."""
+    for module in modules:
+        values = vars(import_module(f".{module}", __package__))
+        for name in _DEFERRED[module]:
+            globals().setdefault(name, values[name])
+
+
+def __getattr__(name):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 ENV_CACHE_DIR = "SIEGEL2_CACHE_DIR"
 DEFAULT_TRACE_BOUND = 12
@@ -59,8 +91,6 @@ DEFAULT_PRIME = 23
 # what `main` reports as "error: ..." with exit status 2 (parse, grading
 # and reduction errors are ValueErrors)
 USAGE_ERRORS = (ConstructionError, ValueError, OSError)
-
-_VERDICT_STATUS = {CERTIFIED: 0, REFUTED: 1, INSUFFICIENT: 2}
 
 
 def _cache_dir(given):
@@ -84,14 +114,15 @@ def _parse(args):
     return node
 
 
-def _eval(node, args):
+def _eval(node, args, at=None):
     gen, _ = ensure_generator_set(args.trace_bound, args.cache_dir)
-    return eval_expr(node, gen, args.prime)
+    return eval_expr(node, gen, args.prime, at=at)
 
 
 def _print_certificate(cert: Certificate) -> int:
+    """Print a certificate; its exit status, 0, 1 or 2 by the verdict."""
     print(cert.to_text(), end="")
-    return _VERDICT_STATUS[cert.verdict]
+    return (CERTIFIED, REFUTED, INSUFFICIENT).index(cert.verdict)
 
 
 # ----- subcommands -----------------------------------------------------
@@ -116,6 +147,7 @@ def verify_certificate(gen, prime: int) -> Certificate:
     reproduce the published coefficients to trace 9 exactly, which is
     also what catches a tampered cache.
     """
+    _bind(*_USES["verify"])  # a caller may come here without `main`
     if prime == 5:
         return verify_theta_mod5(gen)
     cert = verify_x35_mod23(gen)
@@ -150,7 +182,7 @@ def _cmd_verify(args) -> int:
 def _cmd_coeff(args) -> int:
     m, n, r = T = args.m, args.n, args.r
     Expansion(None, args.trace_bound, {T: 1})  # the constructor's bound and index checks
-    c = _eval(_parse(args), args).coefficient(T)
+    c = _eval(_parse(args), args, at=T)
     if args.format == "lines":
         print(c)
     else:
@@ -271,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _bind(*_USES[args.command])
     try:
         check_trace_bound(args.trace_bound)
         args.cache_dir = _cache_dir(args.cache_dir)

@@ -202,8 +202,19 @@ def literals(node: Node) -> list:
     return [n.args[0] for n in _postorder(node) if n.op == "num"]
 
 
-def eval_expr(node: Node, gen, modulus: int | None = None) -> Expansion:
-    """Evaluate a tree against a generator set, optionally mod a prime."""
+def eval_expr(node: Node, gen, modulus: int | None = None, at=None):
+    """Evaluate a tree against a generator set, optionally mod a prime.
+
+    With an index `at` = (m, n, r), the value is a(at) alone, found on the
+    box of indices (m', n', r') with m' <= m and n' <= n: a coefficient of
+    a sum or product there needs the operands' coefficients there only.
+    Each atom is still reduced whole, so a coefficient that is not
+    p-integral anywhere raises the same ReductionError.
+    """
+    bound = gen.trace_bound
+    if at is not None:
+        Expansion(None, bound, {at: 1})  # the constructor's bound and index checks
+        bound = at[0] + at[1]
     values = []  # the values of the operands not yet consumed
     atoms = {}  # each atom's value, reduced once however often it occurs
     for n in _postorder(node):
@@ -211,13 +222,24 @@ def eval_expr(node: Node, gen, modulus: int | None = None) -> Expansion:
             name = n.args[0]
             if name not in atoms:
                 exp = gen.atom(name)
-                atoms[name] = exp.reduce_mod(modulus) if modulus is not None else exp
+                exp = exp.reduce_mod(modulus) if modulus is not None else exp
+                atoms[name] = exp if at is None else _box(exp, at)
             values.append(atoms[name])
         elif n.op == "num":
-            values.append(Expansion.constant(n.args[0], gen.trace_bound, modulus))
+            values.append(Expansion.constant(n.args[0], bound, modulus))
         else:
             k = len(n.args) - (n.op == "^")  # the exponent is an int, not an operand
             operands = values[-k:]
             del values[-k:]
             values.append(_APPLY[n.op](*operands, *n.args[k:]))
-    return values.pop()
+    value = values.pop()
+    return value if at is None else value.coefficient(at)
+
+
+def _box(exp: Expansion, at) -> Expansion:
+    """exp cut to the indices (m', n', r') with m' <= m and n' <= n of
+    at = (m, n, r), at trace bound m + n; exact on that box only, so it
+    stays in `eval_expr`."""
+    m, n, _ = at
+    coeffs = {T: c for T, c in exp.coeffs.items() if T[0] <= m and T[1] <= n}
+    return Expansion._raw(exp.weight, m + n, coeffs, exp.modulus)

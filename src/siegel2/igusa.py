@@ -364,7 +364,7 @@ def save_generator_set(gen: GeneratorSet, cache_dir) -> list[Path]:
         if id(form) not in texts:
             texts[id(form)] = form.to_text()
         try:
-            tmp.write_text(texts[id(form)])
+            tmp.write_text(texts[id(form)], newline="")  # "\n" on every platform
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)  # left over only when a step failed
@@ -377,7 +377,9 @@ def _load_form(name: str, path: Path, trace_bound: int) -> Expansion:
     `load_generator_set`); a mismatch or a line that does not parse raises
     ValueError naming the file."""
     try:
-        exp = Expansion.from_text(path.read_text())
+        with path.open(newline="") as f:  # no newline translation: "\r\n" is refused
+            text = f.read()
+        exp = Expansion.from_text(text)
     except ValueError as exc:
         raise ValueError(f"cache file {path}: {exc}") from None
     if exp.trace_bound != trace_bound:

@@ -173,6 +173,38 @@ def test_coeff_mod_p(cli_cache, capsys):
     assert "mod 23" in out
 
 
+@pytest.fixture(scope="module")
+def cli_cache9(tmp_path_factory, genset9):
+    """A warm cache directory holding the session's trace-9 build."""
+    cache = tmp_path_factory.mktemp("cli-cache9")
+    save_generator_set(genset9, cache)
+    return cache
+
+
+@pytest.mark.parametrize("prime", [None, 5, 7, 23])
+@pytest.mark.parametrize("expr", ["X10*X12*X4", "X4^3 - X6^2", "-2*X4*X6 + 1/3*E10", "X35*X4"])
+def test_coeff_agrees_with_dump(cli_cache9, capsys, expr, prime):
+    # `coeff` multiplies only the box {m' <= m, n' <= n} of its index, `dump`
+    # the whole expansion; the corners of trace 9 and inner indices
+    common = ["--trace-bound", 9, "--cache-dir", cli_cache9]
+    common += [] if prime is None else ["--prime", prime]
+    status, text, _ = run(capsys, "dump", expr, *common)
+    assert status == 0
+    full = Expansion.from_text(text)
+    for T in [(0, 0, 0), (9, 0, 0), (0, 9, 0), (1, 1, 1), (2, 3, -1), (3, 3, 0), (4, 5, -8), (5, 4, 2)]:
+        want = full.coefficient(T)
+        assert run(capsys, "coeff", expr, *T, "--format", "lines", *common) == (0, f"{want}\n", "")
+
+
+@pytest.mark.parametrize("expr, index", [("E12", (0, 0, 0)), ("E12*X4", (1, 0, 0))])
+def test_coeff_reduces_each_atom_whole(cli_cache, capsys, expr, index):
+    # the box of the index holds no coefficient that is not 691-integral, but
+    # E12 does, first at (0, 1, 0): the answer is the error of a whole evaluation
+    assert run(capsys, "coeff", expr, *index, "--prime", 691, "--cache-dir", cli_cache) == (
+        2, "", "error: coefficient 65520/691 at index (0, 1, 0) is not 691-integral\n"
+    )
+
+
 def test_an_expression_with_a_leading_minus_follows_the_options_and_a_double_dash(
     cli_cache, capsys
 ):
@@ -353,6 +385,26 @@ def test_control_character_in_a_cache_file_is_refused(genset9, tmp_path, capsys)
     )
 
 
+@pytest.mark.parametrize("header_end, line_end, bad", [
+    ("\r\n", "\r\n", "bad expansion header: 'qexp 35 9 rational\\r'"),
+    ("\n", "\r\n", "bad coefficient line: '2 3 -1 1 1\\r'"),
+    ("\r", "\r", "bad expansion header: 'qexp 35 9 rational\\r2 3 -1 1 1\\r"),
+], ids=["crlf", "crlf-after-the-header", "cr"])
+def test_carriage_return_in_a_cache_file_is_refused(
+    genset9, tmp_path, capsys, header_end, line_end, bad
+):
+    # a universal-newline read turned "\r\n" and a lone "\r" into "\n", so
+    # such a file loaded, and `coeff` answered with exit status 0
+    save_generator_set(genset9, tmp_path)
+    path = cache_path(tmp_path, "X35", 9)
+    head, body = path.read_text().split("\n", 1)
+    path.write_bytes((head + header_end + body.replace("\n", line_end)).encode())
+    status, out, err = run(capsys, "coeff", "X35", 2, 3, -1, "--trace-bound", 9,
+                           "--cache-dir", tmp_path)
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: cache file {path}: {bad}")
+
+
 def test_coeff_rejects_bad_expression(cli_cache, capsys):
     status, out, err = run(
         capsys, "coeff", "X4 + X6", 1, 1, 0, "--cache-dir", cli_cache
@@ -490,18 +542,35 @@ def test_flag_overrides_env_var(cli_cache, tmp_path, capsys, monkeypatch):
 # ----- start-up ------------------------------------------------------------
 
 
+def _modules(code):
+    """The modules a fresh interpreter holds after running `code`."""
+    src = Path(siegel2.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return set(proc.stdout.splitlines()[-1].split())
+
+
 def test_import_loads_no_heavy_stdlib_modules():
     # compared with a bare interpreter, so whatever `site` preloads is allowed
-    src = Path(siegel2.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-
-    def modules(code):
-        proc = subprocess.run(
-            [sys.executable, "-c", f"{code}import sys; print(*sys.modules)"],
-            env=env, capture_output=True, text=True, check=True, timeout=60,
-        )
-        return set(proc.stdout.split())
-
-    new = modules("import siegel2.cli; ") - modules("")
+    new = _modules("import siegel2.cli") - _modules("")
     assert "siegel2.cli" in new
     assert not new & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+@pytest.mark.parametrize("argv, used, unused", [
+    ([], set(), {"congruence", "expr", "reference"}),
+    (["build"], set(), {"congruence", "expr", "reference"}),
+    (["coeff", "X35", "2", "3", "-1"], {"expr"}, {"congruence", "reference"}),
+    (["dump", "X4"], {"expr"}, {"congruence", "reference"}),
+    (["theta", "X6", "--prime", "5"], {"expr"}, {"congruence", "reference"}),
+    (["verify"], {"congruence", "reference"}, {"expr"}),
+    (["minmat", "X35", "--prime", "23"], {"congruence", "expr"}, {"reference"}),
+], ids=lambda case: " ".join(case) or "import" if isinstance(case, list) else None)
+def test_a_command_imports_only_the_modules_it_uses(cli_cache, argv, used, unused):
+    call = f"assert siegel2.cli.main({argv + ['--cache-dir', str(cli_cache)]!r}) == 0" if argv else ""
+    loaded = {m.removeprefix("siegel2.") for m in _modules(f"import siegel2.cli\n{call}")}
+    assert used <= loaded
+    assert not unused & loaded

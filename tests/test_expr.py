@@ -7,7 +7,7 @@ import pytest
 
 from siegel2.cli import main
 from siegel2.expr import MAX_NESTING, ExprError, eval_expr, literals, parse
-from siegel2.qexp import Expansion
+from siegel2.qexp import Expansion, iter_l2_indices
 
 
 def test_weight_inference():
@@ -99,6 +99,18 @@ def test_eval_mod_p_reduces_each_atom_once(genset_small, monkeypatch):
     got = eval_expr(parse("X4*X4*X6 - X4*(X4*X6) + X4^2*X6"), genset_small, modulus=7)
     assert calls == [7, 7]  # X4 and X6, however often they occur
     assert got == eval_expr(parse("X4^2*X6"), genset_small).reduce_mod(7)
+
+
+@pytest.mark.parametrize("modulus", [None, 5, 7, 23])
+@pytest.mark.parametrize("src", ["X10*X12*X4", "X4^3 - X6^2", "-2*X4*X6 + 1/3*E10", "X35*X4"])
+def test_eval_at_an_index_is_the_full_coefficient(genset9, src, modulus):
+    # with `at`, each atom is cut to the box {m' <= m, n' <= n} of the index
+    node = parse(src)
+    full = eval_expr(node, genset9, modulus)
+    for T in iter_l2_indices(9):
+        assert eval_expr(node, genset9, modulus, at=T) == full.coefficient(T), T
+    with pytest.raises(ValueError, match="exceeds the trace bound 9"):
+        eval_expr(node, genset9, modulus, at=(5, 5, 0))
 
 
 def test_eval_scalar_weight_zero(genset_small):
