@@ -148,11 +148,10 @@ class Certificate(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _insufficient(claim, p, k, bound, trace, check, detail, assumptions=()) -> Certificate:
+def _insufficient(claim, p, k, bound, trace, check, detail) -> Certificate:
     """The certificate of a run whose data cannot host the region it needs."""
     return Certificate(
-        claim, p, k, bound, trace, [CheckRecord(check, False, detail)],
-        list(assumptions), INSUFFICIENT,
+        claim, p, k, bound, trace, [CheckRecord(check, False, detail)], [], INSUFFICIENT
     )
 
 
@@ -179,7 +178,7 @@ def _scan_region(F: Expansion, region) -> tuple[int, int, int] | None:
     return None
 
 
-def _sturm(F: Expansion, k: int, bound, name: str, assumptions) -> Certificate:
+def _sturm(F: Expansion, k: int, bound, name: str) -> Certificate:
     """The criterion body shared by both parities: scan the hypothesis
     region of the bound matrix, the box for even k and the order set for
     odd k."""
@@ -189,7 +188,7 @@ def _sturm(F: Expansion, k: int, bound, name: str, assumptions) -> Certificate:
     if F.trace_bound < needed:
         return _insufficient(
             claim, p, k, bound, None, "hypothesis region inside the trace bound",
-            f"need trace {needed}, have {F.trace_bound}", assumptions,
+            f"need trace {needed}, have {F.trace_bound}",
         )
     if k % 2 == 0:
         region = _box_region(bound[0])
@@ -200,23 +199,21 @@ def _sturm(F: Expansion, k: int, bound, name: str, assumptions) -> Certificate:
     witness = _scan_region(F, region)
     detail = f"indices={len(region)}" if witness is None else f"nonzero residue at {witness}"
     checks = [CheckRecord(desc, witness is None, detail)]
-    return Certificate(
-        claim, p, k, bound, needed, checks, list(assumptions), _verdict(checks), witness
-    )
+    return Certificate(claim, p, k, bound, needed, checks, [], _verdict(checks), witness)
 
 
-def sturm_even(F: Expansion, k: int, name: str = "F", assumptions=()) -> Certificate:
+def sturm_even(F: Expansion, k: int, name: str = "F") -> Certificate:
     """Certify F == 0 mod p from finitely many vanishing coefficients (even k).
 
     The hypothesis region is the box 0 <= m, n <= floor(k/10); it lies
     inside the set of indices up to the bound matrix (t, t, 2t).
     """
-    return _sturm(F, k, sturm_bound_even(k, _modulus_of(F)), name, assumptions)
+    return _sturm(F, k, sturm_bound_even(k, _modulus_of(F)), name)
 
 
-def sturm_odd(F: Expansion, k: int, name: str = "F", assumptions=()) -> Certificate:
+def sturm_odd(F: Expansion, k: int, name: str = "F") -> Certificate:
     """Certify F == 0 mod p for odd weight k >= 35 (F divisible by X35)."""
-    return _sturm(F, k, sturm_bound_odd(k, _modulus_of(F)), name, assumptions)
+    return _sturm(F, k, sturm_bound_odd(k, _modulus_of(F)), name)
 
 
 def theta_landing_assumption(k: int, p: int) -> str:

@@ -34,8 +34,9 @@ X10 and X12 lift phi_{10,1} = eta^18 theta(tau, z)^2 and
 (2 pi i)^(-1)-normalized partials of the four even generators: weighting
 the first row by the weights makes the inhomogeneous terms of the
 derivative transformation law cancel, so the determinant is a cusp form
-of weight 4+6+10+12+3 = 35.  All five generators have integer
-coefficients after normalization, which is enforced.
+of weight 4+6+10+12+3 = 35.  A build checks each generator once, at
+the index of `NORMALIZATION`: a cusp form must vanish on rank <= 1, each
+must be 1 at its index, and all coefficients must be integers.
 
 The determinant is the Laplace expansion along the rows (k X, d12 X): the
 signed sum of six products of a 2x2 minor of those rows and the
@@ -46,11 +47,12 @@ fixes each modular even generator, so it fixes k X and d12 X and swaps
 d11 X and d22 X: the top minors are sigma-symmetric, the low minors and
 the six products antisymmetric.  `build_x35` takes sigma-symmetric
 columns only and refuses others.  It hands the `qexp` kernel each row
-entry as an operand (X, k or axis) of its generator with these parities,
-the 12 minors in one call, each only to the trace its complementary minor
-leaves, then the six products, and gets the minors and the determinant on
-their half m <= n; it normalizes that half at (2, 3, -1), leaving a
-Fraction only where the pivot does not divide, and mirrors it.
+entry as an operand of its generator with these parities (X itself for
+k X, with k in the signs of the top-minor terms, else an axis partial):
+the 12 minors in one call, each only to the trace its complementary
+minor leaves, then the six products, and gets the minors and the
+determinant on their half m <= n; it normalizes that half at (2, 3, -1),
+leaving a Fraction only where the pivot does not divide, and mirrors it.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ __all__ = [
     "eisenstein_family",
     "build_x10_x12",
     "build_x35",
-    "integrality_check",
     "GeneratorSet",
     "build_generator_set",
     "cache_path",
@@ -93,6 +94,9 @@ SUPPORTED_WEIGHTS = (4, 6, 8, 10, 12)
 # the X35 normalization index (2,3,-1) has trace 5
 MIN_BUILD_BOUND = 5
 GENERATOR_NAMES = ("X4", "X6", "X10", "X12", "X35")
+# the index where each generator is 1; the cusp forms are those normalized off (0, 0, 0)
+NORMALIZATION = {"X4": (0, 0, 0), "X6": (0, 0, 0), "X10": (1, 1, 1), "X12": (1, 1, 1),
+                 "X35": (2, 3, -1)}
 CACHE_NAMES = ("E4", "E6", "E8", "E10", "E12") + GENERATOR_NAMES
 # the atoms of the expression language; each name carries its weight
 ATOM_WEIGHTS = {name: int(name[1:]) for name in CACHE_NAMES}
@@ -172,14 +176,6 @@ def eisenstein_family(trace_bound: int) -> dict[int, Expansion]:
     return family
 
 
-def _require_cusp(name: str, F: Expansion) -> None:
-    """Refuse F at its least nonzero coefficient of rank <= 1 (4mn = r^2)."""
-    flat = [T for T in F.coeffs if 4 * T[0] * T[1] == T[2] * T[2]]
-    if flat:
-        T = min(flat, key=order_key)
-        raise ConstructionError(f"{name} has a nonzero rank<=1 coefficient at {T}")
-
-
 def build_x10_x12(trace_bound: int) -> tuple[Expansion, Expansion]:
     """The weight-10 and weight-12 cusp generators as Maass lifts.
 
@@ -230,9 +226,6 @@ def build_x35(x4: Expansion, x6: Expansion, x10: Expansion, x12: Expansion) -> E
         raise ValueError("domain mismatch: the four generators must share one domain")
     if any(f.coeffs != {(n, m, r): v for (m, n, r), v in f.coeffs.items()} for f in forms):
         raise ValueError("not sigma-symmetric: the four generators need a(m, n, r) = a(n, m, r)")
-    # so the top minors have parity +1, the low minors and their products -1
-    rows = [[(f.coeffs, f.weight, 1) for f in forms]]
-    rows += [[(f.coeffs, axis, 1) for f in forms] for axis in ("12", "11", "22")]
     # a minor is needed only to trace bound - t, where t is the lowest trace of
     # its complementary minor, so at least that of a product of two entries:
     # an entry's is its generator's, and at least 2 in row d12 (r != 0 needs
@@ -243,20 +236,25 @@ def build_x35(x4: Expansion, x6: Expansion, x10: Expansion, x12: Expansion) -> E
     first = [min(lowest[a][i] + lowest[b][j], lowest[a][j] + lowest[b][i])
              for a, b in ((0, 1), (2, 3)) for i, j in pairs]  # of the 12 minors
     reaches = [bound - t for t in first[:5:-1] + first[5::-1]]
-    sums = [[(1, top[i], low[j]), (-1, top[j], low[i])]
-            for top, low in (rows[:2], rows[2:]) for i, j in pairs]
+    # the minor (i, j) of rows a, b is a_i b_j - a_j b_i; the row k X enters as
+    # X, each weight k in the signs.  The top minors (rows k X, d12 X) have
+    # parity +1, the low minors and their products -1
+    x, d12, d11, d22 = ([(f.coeffs, axis, 1) for f in forms] for axis in (1, "12", "11", "22"))
+    k = [f.weight for f in forms]
+    sums = [[(k[i], x[i], d12[j]), (-k[j], x[j], d12[i])] for i, j in pairs]
+    sums += [[(1, d11[i], d22[j]), (-1, d11[j], d22[i])] for i, j in pairs]
     minors = product_sums(sums, max(reaches), p, [1] * 6 + [-1] * 6, reaches)
     # term q: top minor q times the low minor of its complement, sign (-1)^(1+i+j)
     terms = [((-1) ** (1 + i + j), (minors[q], 1, 1), (minors[11 - q], 1, -1))
              for q, (i, j) in enumerate(pairs)]
     det = product_sums([terms], bound, p, [-1])[0]
-    pivot = det.get((2, 3, -1))
+    pivot = det.get(NORMALIZATION["X35"])
     if not pivot:
         raise ConstructionError("determinant vanishes at the normalization index (2,3,-1)")
     if p:
         inverse = pow(pivot, -1, p)
         x35 = {T: v * inverse % p for T, v in det.items()}
-    else:  # a Fraction only where the pivot does not divide, for integrality_check
+    else:  # a Fraction only where the pivot does not divide, for _check_generator
         x35 = {T: Fraction(v) / pivot if rest else q
                for T, v in det.items() for q, rest in [divmod(v, pivot)]}
     # the determinant is sigma-antisymmetric: its half m <= n gives the rest
@@ -297,14 +295,22 @@ class GeneratorSet:
         return self.forms[name]
 
 
-def integrality_check(forms: dict[str, Expansion]) -> list[tuple[str, tuple, object]]:
-    """Report non-integer coefficients of a mapping name -> Expansion, each
-    form's in the index order; empty means all of them are integral."""
-    out = []
-    for name, form in forms.items():
-        bad = [T for T, c in form.coeffs.items() if c.denominator != 1]
-        out += [(name, T, form.coeffs[T]) for T in sorted(bad, key=order_key)]
-    return out
+def _check_generator(name: str, F: Expansion) -> None:
+    """Refuse a built generator, naming the least offending index: a nonzero
+    coefficient of rank <= 1 (4mn = r^2) in a cusp form, a value other
+    than 1 at its normalization index, a non-integral coefficient."""
+    index = NORMALIZATION[name]
+    flat = [T for T in F.coeffs if 4 * T[0] * T[1] == T[2] * T[2]] if any(index) else []
+    if flat:
+        raise ConstructionError(
+            f"{name} has a nonzero rank<=1 coefficient at {min(flat, key=order_key)}"
+        )
+    if F.coefficient(index) != 1:
+        raise ConstructionError(f"{name} normalization at {index} failed")
+    bad = [T for T, c in F.coeffs.items() if c.denominator != 1]
+    if bad:
+        T = min(bad, key=order_key)
+        raise ConstructionError(f"non-integral coefficient {F.coeffs[T]} at {T} in {name}")
 
 
 def build_generator_set(trace_bound: int) -> GeneratorSet:
@@ -315,29 +321,15 @@ def build_generator_set(trace_bound: int) -> GeneratorSet:
             "(the X35 normalization index (2,3,-1) has trace 5)"
         )
     family = eisenstein_family(trace_bound)
-    x10, x12 = build_x10_x12(trace_bound)
-    # first the columns of X35: build_x35 refuses one that is not sigma-symmetric
-    _require_cusp("X10", x10)
-    _require_cusp("X12", x12)
-    x35 = build_x35(family[4], family[6], x10, x12)
-    _require_cusp("X35", x35)
     forms = {f"E{k}": family[k] for k in SUPPORTED_WEIGHTS}
-    forms |= {"X4": family[4], "X6": family[6], "X10": x10, "X12": x12, "X35": x35}
-    gen = GeneratorSet(forms, trace_bound)
-    for name, idx in (
-        ("X4", (0, 0, 0)),
-        ("X6", (0, 0, 0)),
-        ("X10", (1, 1, 1)),
-        ("X12", (1, 1, 1)),
-        ("X35", (2, 3, -1)),
-    ):
-        if gen.atom(name).coefficient(idx) != 1:
-            raise ConstructionError(f"{name} normalization at {idx} failed")
-    violations = integrality_check(gen.generators())
-    if violations:
-        name, T, c = violations[0]
-        raise ConstructionError(f"non-integral coefficient {c} at {T} in {name}")
-    return gen
+    forms["X4"], forms["X6"] = family[4], family[6]
+    forms["X10"], forms["X12"] = build_x10_x12(trace_bound)
+    columns = GENERATOR_NAMES[:4]
+    for name in columns:  # before build_x35 reads them
+        _check_generator(name, forms[name])
+    forms["X35"] = build_x35(*(forms[name] for name in columns))
+    _check_generator("X35", forms["X35"])
+    return GeneratorSet(forms, trace_bound)
 
 
 # ----- cache ------------------------------------------------------------

@@ -40,16 +40,17 @@ and each target block is unpacked once with signed borrow.
 `Expansion.__mul__` is a sum of one term.
 
 A factor is a coefficient dict F or an operand (F, factor, parity): F
-times an int, or times the m, n or r of each index for the axis "11",
-"22" or "12" of `Expansion.derivative`.  Each distinct F is packed once;
-an operand's block is F's block times one small int, and the r-weighted
-blocks come from the same pass.  The parity e = +1 or -1 promises that F
-is e-symmetric under the swap sigma: (m, n, r) -> (n, m, r), that is
-a(n, m, r) = e * a(m, n, r): the kernel then packs F's blocks with m <= n
-and makes block (n, m) as e times block (m, n), the same slots, the same
-r.  A sum with that promise multiplies only the block pairs whose target
-block has m <= n and returns only that half, ready to be handed on as an
-operand of parity e.  No promise is checked.
+times 1, or times the m, n or r of each index for the axis "11", "22" or
+"12" of `Expansion.derivative`; an integer multiplier belongs in the
+term's sign.  Each distinct F is packed once; an axis operand's block is
+F's block times m or n, and the r-weighted blocks come from the same
+pass.  The parity e = +1 or -1 promises that F is e-symmetric under the
+swap sigma: (m, n, r) -> (n, m, r), that is a(n, m, r) = e * a(m, n, r):
+the kernel then packs F's blocks with m <= n and makes block (n, m) as e
+times block (m, n), the same slots, the same r.  A sum with that promise
+multiplies only the block pairs whose target block has m <= n and
+returns only that half, ready to be handed on as an operand of parity e.
+No promise is checked.
 
 The text form has one grammar, written by `to_text` and alone read by
 `from_text`: a header `qexp <weight|-> <trace_bound> <rational|mod p>`,
@@ -157,7 +158,7 @@ def product_sums(sums, bound: int, p: int | None, parities=None,
                  reaches=None) -> list[dict[tuple[int, int, int], object]]:
     """The product kernel (see the module docstring).  Each sum is a list of
     terms (sign, left, right) with an integer sign and factors left and
-    right, coefficient dicts or operands (F, factor, parity); for each sum,
+    right, coefficient dicts or operands (F, 1 or an axis, parity); for each sum,
     the canonical nonzero coefficients of sum(sign * left * right) at every
     index of trace <= bound, or <= the sum's entry of `reaches`, only those
     with m <= n for a sum that `parities` gives a sigma-parity +1 or -1."""
@@ -171,8 +172,7 @@ def product_sums(sums, bound: int, p: int | None, parities=None,
     # each distinct (F, parity) is made integral to trace bound: times the lcm
     # d of its denominators there, with its term count and the bit length of
     # its largest coefficient times d; with a parity it is read on m <= n and
-    # counts each term twice.  A factor f adds at most the bits of |f| - 1,
-    # an axis those of bound - 1.
+    # counts each term twice.  An axis adds at most the bits of bound - 1.
     forms, operands = {}, {}
     for terms in sums:
         for _, left, right in terms:
@@ -183,24 +183,23 @@ def product_sums(sums, bound: int, p: int | None, parities=None,
                     top = int(max(map(abs, kept), default=0) * d)
                     forms[id(c), e] = c, d, len(kept) << (e is not None), top.bit_length()
                 _, d, count, bits = forms[id(c), e]
-                most = bound if type(f) is str else abs(f)
-                operands[id(c), f, e] = d, count, bits + (most - 1).bit_length()
+                operands[id(c), f, e] = d, count, bits + (f != 1) * (bound - 1).bit_length()
     # a sum runs over the lcm of its terms' d_left * d_right, so each term
     # carries the multiplier lcm / (d_left * d_right) in its sign; at most
-    # |sign| * min(#left, #right) term pairs of a term meet at one index
-    plans, size, pairs = [], 0, 0
+    # |sign| * min(#left, #right) term pairs of a term meet at one index, each
+    # below 2^(bits_left + bits_right)
+    plans, most = [], 0
     parities, reaches = parities or [None] * len(sums), reaches or [bound] * len(sums)
     for terms, parity, reach in zip(sums, parities, reaches):
         plan = [(sign, key(left), key(right)) for sign, left, right in terms]
         dens = [operands[a][0] * operands[b][0] for _, a, b in plan]
         den = lcm(*dens)
         plan = [(s * (den // d), a, b) for (s, a, b), d in zip(plan, dens)]
-        for s, a, b in plan:
-            size = max(size, operands[a][2] + operands[b][2])
-        pairs = max(pairs, sum(abs(s) * min(operands[a][1], operands[b][1]) for s, a, b in plan))
+        most = max(most, sum(abs(s) * min(operands[a][1], operands[b][1])
+                             << (operands[a][2] + operands[b][2]) for s, a, b in plan))
         plans.append((plan, den, parity, reach))
     # a slot holds any such sum, sign included
-    width = size + pairs.bit_length() + 1
+    width = most.bit_length() + 1
     # one int per (m, n) block, with a(m, n, r) in the width-bit slot
     # r + isqrt(4mn); blocks listed by trace.  Each (F, parity) is packed
     # once, with its r-weighted blocks in the same pass when an operand needs
@@ -220,16 +219,15 @@ def product_sums(sums, bound: int, p: int | None, parities=None,
                 b |= {(n, m): e * x for (m, n), x in b.items() if m < n}
         forms[i, e] = sorted((m + n, m, n, x) for (m, n), x in blocks.items()), rblocks
     # an operand's nonzero blocks (trace, number, radius, block, m - n): its
-    # form's times an int k, or times the m of axis 11, the n of axis 22, the
-    # r of axis 12
+    # form's, or times the m of axis 11, the n of axis 22, the r of axis 12
     packed = {}
     for i, f, e in operands:
         blocks, rblocks = forms[i, e]
         if f == "12":
             blocks = [(t, m, n, rblocks[m, n]) for t, m, n, _ in blocks]
         elif f != 1:
-            slot = _AXIS_SLOT.get(f)
-            blocks = [(t, m, n, x * (f if slot is None else (m, n)[slot])) for t, m, n, x in blocks]
+            slot = _AXIS_SLOT[f]
+            blocks = [(t, m, n, x * (m, n)[slot]) for t, m, n, x in blocks]
         packed[i, f, e] = [(t, (k := m * step + n), radius[k], x, m - n) for t, m, n, x in blocks if x]
 
     @cache  # the blocks of operand b that land on m <= n from a left block with n1 - m1 = c

@@ -39,7 +39,6 @@ PINNED = {
         "weight: 12\n"
         "bound-matrix: (1, 1, 2)\n"
         "check: hypothesis region inside the trace bound: FAIL [need trace 2, have 1]\n"
-        "assumption: a demo assumption\n"
         "verdict: Insufficient\n"
     ),
     "odd_certified": (
@@ -208,9 +207,7 @@ CASES = {
         g.atom("X12").scale(5).reduce_mod(5), 12, name="5*X12 mod 5"
     ),
     "even_refuted": lambda g, s: sturm_even(g.atom("X4").reduce_mod(5), 4),
-    "even_insufficient": lambda g, s: sturm_even(
-        Expansion(12, 1, {}, modulus=5), 12, assumptions=["a demo assumption"]
-    ),
+    "even_insufficient": lambda g, s: sturm_even(Expansion(12, 1, {}, modulus=5), 12),
     "odd_certified": lambda g, s: sturm_odd(
         g.atom("X35").scale(23).reduce_mod(23), 35, name="23*X35 mod 23"
     ),

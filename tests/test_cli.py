@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import siegel2
-from siegel2.cli import ENV_CACHE_DIR, MAX_TRACE_BOUND, main
+from siegel2.cli import ENV_CACHE_DIR, MAX_TRACE_BOUND, _print_certificate, main, verify_certificate
 from siegel2.expr import MAX_NESTING
-from siegel2.igusa import CACHE_NAMES, cache_path, save_generator_set
+from siegel2.igusa import CACHE_NAMES, GeneratorSet, cache_path, save_generator_set
 from siegel2.qexp import Expansion
 
 
@@ -121,6 +121,20 @@ def test_insufficient_verify_builds_nothing(tmp_path, capsys, argv):
     status, out, err = run(capsys, "verify", *argv, "--cache-dir", tmp_path)
     assert (status, out, err) == (2, INSUFFICIENT_VERIFY[argv], "")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_certificate_below_trace_9_skips_the_reference_check(capsys):
+    # a set without forms: reading X35 for the reference check would raise
+    status = _print_certificate(verify_certificate(GeneratorSet({}, 5), 23))
+    assert (status, capsys.readouterr().out) == (2, (
+        "certificate: a(T; X35) = 0 mod 23 at every index with 4*det(T) not divisible by 23\n"
+        "prime: 23\n"
+        "weight: 35\n"
+        "trace-checked: 5\n"
+        "check: trace bounds cover the proof region: FAIL "
+        "[need 9 <= scan bound <= built bound 5, got 5]\n"
+        "verdict: Insufficient\n"
+    ))
 
 
 def test_verify_detects_tampered_cache(cli_cache, tmp_path, capsys, genset):
@@ -238,6 +252,8 @@ def test_coeff_rejects_bad_index(cli_cache, capsys):
     (["theta", "X4", "--prime", 2], "error: theta needs 4 invertible: p = 2 is not supported\n"),
     (["coeff", "1/5*X4", 1, 0, 0, "--prime", 5],
      "error: coefficient 1/5 at index (0, 0, 0) is not 5-integral\n"),
+    (["coeff", "1/X4", 1, 0, 0], "error: rational literal needs an integer denominator (at position 2)\n"),
+    (["coeff", "1/0", 1, 0, 0], "error: zero denominator (at position 2)\n"),
     (["dump", "(" * 400 + "X4" + ")" * 400, "--prime", 23],
      f"error: parentheses nested deeper than {MAX_NESTING} (at position {MAX_NESTING})\n"),
     (["coeff", "X4", 0, 0, 0, "--trace-bound", -1], "error: trace bound must be >= 0\n"),
@@ -285,6 +301,15 @@ def test_cache_file_whose_header_contradicts_its_name_is_refused(
     assert err == (
         f"error: cache file {path} holds {header}, "
         f"expected a rational one of weight {name[1:]}\n"
+    )
+
+
+def test_cache_file_whose_header_bound_contradicts_its_name_is_refused(genset_small, tmp_path, capsys):
+    save_generator_set(genset_small, tmp_path)
+    path = cache_path(tmp_path, "X4", 5)
+    path.write_text(path.read_text().replace("qexp 4 5 ", "qexp 4 6 ", 1))
+    assert run(capsys, "coeff", "X4", 1, 0, 0, "--trace-bound", 5, "--cache-dir", tmp_path) == (
+        2, "", f"error: cache file {path} has inconsistent trace bound\n"
     )
 
 

@@ -26,7 +26,6 @@ from siegel2.igusa import (
     eisenstein_family,
     ensure_generator_set,
     genus1_eisenstein,
-    integrality_check,
     load_generator_set,
     maass_lift,
     save_generator_set,
@@ -176,6 +175,23 @@ def test_eisenstein_family_refuses_a_wrong_h0(monkeypatch):
         ig.eisenstein_family(6)
 
 
+def test_eisenstein_family_refuses_e8_unequal_to_e4_squared(monkeypatch):
+    # a rank-2 coefficient is off the Siegel restriction: only E4^2 = E8 sees it
+    import siegel2.igusa as ig
+
+    real = ig.siegel_eisenstein
+
+    def corrupted(k, bound):
+        F = real(k, bound)
+        if k == 8:
+            F.coeffs[1, 1, 0] += 1
+        return F
+
+    monkeypatch.setattr(ig, "siegel_eisenstein", corrupted)
+    with pytest.raises(ConstructionError, match=re.escape("E4^2 != E8")):
+        build_generator_set(5)
+
+
 # ----- cusp generators ------------------------------------------------------
 
 
@@ -213,6 +229,38 @@ def test_build_refuses_a_cusp_form_with_a_rank1_coefficient(monkeypatch, extra, 
 
     monkeypatch.setattr(ig, "build_x10_x12", corrupted)
     message = f"X10 has a nonzero rank<=1 coefficient at {named}"
+    with pytest.raises(ConstructionError, match=re.escape(message)):
+        build_generator_set(5)
+
+
+def test_build_refuses_a_generator_off_its_normalization(monkeypatch):
+    import siegel2.igusa as ig
+
+    real = ig.build_x10_x12
+
+    def corrupted(bound):
+        x10, x12 = real(bound)
+        return x10, x12.scale(2)
+
+    monkeypatch.setattr(ig, "build_x10_x12", corrupted)
+    with pytest.raises(ConstructionError, match=re.escape("X12 normalization at (1, 1, 1) failed")):
+        build_generator_set(5)
+
+
+def test_build_refuses_a_non_integral_coefficient_at_the_least_index(monkeypatch):
+    import siegel2.igusa as ig
+
+    real = ig.build_x10_x12
+    # sigma-symmetric; dict order puts (2, 1, 0) first, the index order (1, 1, -1)
+    extra = {(2, 1, 0): Fraction(1, 3), (1, 2, 0): Fraction(1, 3), (1, 1, -1): Fraction(-7, 2)}
+
+    def corrupted(bound):
+        x10, x12 = real(bound)
+        rest = {T: v for T, v in x10.coeffs.items() if T not in extra}
+        return Expansion(10, bound, {**extra, **rest}), x12
+
+    monkeypatch.setattr(ig, "build_x10_x12", corrupted)
+    message = "non-integral coefficient -7/2 at (1, 1, -1) in X10"
     with pytest.raises(ConstructionError, match=re.escape(message)):
         build_generator_set(5)
 
@@ -320,13 +368,7 @@ def test_generators_have_expected_symmetries(genset_small):
 
 
 def test_integrality(genset):
-    assert integrality_check(genset.generators()) == []
-
-
-def test_integrality_check_lists_the_offenders_in_index_order():
-    F = Expansion(4, 3, {(2, 1, 0): Fraction(1, 3), (0, 1, 0): 5, (1, 1, -1): Fraction(-7, 2)})
-    want = [("F", (1, 1, -1), Fraction(-7, 2)), ("F", (2, 1, 0), Fraction(1, 3))]
-    assert integrality_check({"G": Expansion(4, 3, {(0, 0, 0): 1}), "F": F}) == want
+    assert all(type(c) is int for F in genset.generators().values() for c in F.coeffs.values())
 
 
 def test_min_matrix_reference_names(genset_small):
@@ -472,7 +514,7 @@ def test_build_x35_on_dense_extreme_operands(forms):
 
 
 # small columns whose determinant the pivot at (2, 3, -1) mostly does not
-# divide: X35 keeps a Fraction there for integrality_check to name
+# divide: X35 keeps a Fraction there for the build check to name
 @pytest.mark.parametrize("value", [
     lambda T, j: (3 * (T[0] + T[1]) + T[0] * T[1] + abs(T[2]) + 7 * j) % 11 - 5,
 ], ids=["sigma-symmetric-columns"])
@@ -480,7 +522,7 @@ def test_build_x35_keeps_a_fraction_where_the_pivot_does_not_divide(value):
     forms = dense_columns(value, bound=6)
     x35 = build_x35(*forms)
     assert x35 == x35_oracle(forms)
-    assert integrality_check({"X35": x35})
+    assert any(type(c) is Fraction for c in x35.coeffs.values())
 
 
 def test_build_x35_takes_rational_and_mod_p_operands(genset):
@@ -492,6 +534,17 @@ def test_build_x35_takes_rational_and_mod_p_operands(genset):
     for p in (5, 7, 23):
         reduced = [f.reduce_mod(p) for f in (x4, x6, x10, x12)]
         assert build_x35(*reduced) == genset.atom("X35").reduce_mod(p)
+
+
+@pytest.fixture(scope="module")
+def genset16():
+    return build_generator_set(16)
+
+
+@pytest.mark.parametrize("p", [5, 7, 23])
+def test_build_x35_from_the_reduced_generators_is_the_reduced_x35_at_trace_16(genset16, p):
+    reduced = [genset16.atom(name).reduce_mod(p) for name in ("X4", "X6", "X10", "X12")]
+    assert build_x35(*reduced) == genset16.atom("X35").reduce_mod(p)
 
 
 def test_build_x35_refuses_columns_that_are_not_sigma_symmetric():
