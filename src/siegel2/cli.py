@@ -17,11 +17,14 @@ checks the bound and resolves the cache directory once, before any
 command runs; `sturm` takes the weight the parser infers.
 `scripts/reproduce_mod23.py ARGS` is `main(["verify", *ARGS])`.
 
-`import siegel2.cli` imports `igusa` and `qexp`; `main` imports the rest
-as the command needs it (`_USES`): `expr` for coeff, dump and theta,
-`expr` and `congruence` for minmat and sturm, `congruence` and
-`reference` for verify, nothing more for build.  Their names are read as
-attributes of this module all the same (`__getattr__`).  `coeff`
+`import siegel2.cli` imports `igusa`, `qexp` and `numtheory`; `main`
+imports the rest as the command needs it (`_USES`): `expr` for coeff,
+dump and theta, `expr` and `congruence` for minmat and sturm,
+`congruence` and `reference` for verify, nothing more for build.  Their
+names are read as attributes of this module all the same
+(`__getattr__`).  `construction` is imported only to build a missing
+cache (`ensure_generator_set`) and `kernel` at the first product, so a
+command on a complete cache compiles neither unless it multiplies.  `coeff`
 evaluates its expression on the box of its index (`eval_expr(..., at=T)`).
 
 Exit status: 0 success/certified, 1 refuted (with witness), 2 usage error

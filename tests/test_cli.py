@@ -585,17 +585,31 @@ def test_import_loads_no_heavy_stdlib_modules():
     assert not new & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
+# a command on a complete cache builds nothing: no `construction`; only a
+# product compiles the product kernel, `kernel`
+BUILD = {"construction", "kernel"}
+
+
 @pytest.mark.parametrize("argv, used, unused", [
-    ([], set(), {"congruence", "expr", "reference"}),
-    (["build"], set(), {"congruence", "expr", "reference"}),
-    (["coeff", "X35", "2", "3", "-1"], {"expr"}, {"congruence", "reference"}),
-    (["dump", "X4"], {"expr"}, {"congruence", "reference"}),
-    (["theta", "X6", "--prime", "5"], {"expr"}, {"congruence", "reference"}),
-    (["verify"], {"congruence", "reference"}, {"expr"}),
-    (["minmat", "X35", "--prime", "23"], {"congruence", "expr"}, {"reference"}),
+    ([], set(), {"congruence", "expr", "reference"} | BUILD),
+    (["build"], set(), {"congruence", "expr", "reference"} | BUILD),
+    (["coeff", "X35", "2", "3", "-1"], {"expr"}, {"congruence", "reference"} | BUILD),
+    (["dump", "X4"], {"expr"}, {"congruence", "reference"} | BUILD),
+    (["theta", "X6", "--prime", "5"], {"expr"}, {"congruence", "reference"} | BUILD),
+    (["verify"], {"congruence", "reference"}, {"expr"} | BUILD),
+    (["minmat", "X35", "--prime", "23"], {"congruence", "expr"}, {"reference"} | BUILD),
+    (["sturm", "X4-E4", "--prime", "23"], {"congruence", "expr"}, {"reference"} | BUILD),
+    (["coeff", "X10*X12*X4", "2", "3", "-1", "--prime", "23"], {"expr", "kernel"},
+     {"congruence", "reference", "construction"}),
 ], ids=lambda case: " ".join(case) or "import" if isinstance(case, list) else None)
 def test_a_command_imports_only_the_modules_it_uses(cli_cache, argv, used, unused):
     call = f"assert siegel2.cli.main({argv + ['--cache-dir', str(cli_cache)]!r}) == 0" if argv else ""
     loaded = {m.removeprefix("siegel2.") for m in _modules(f"import siegel2.cli\n{call}")}
     assert used <= loaded
     assert not unused & loaded
+
+
+def test_a_build_into_an_empty_directory_imports_the_construction(tmp_path):
+    argv = ["build", "--trace-bound", "5", "--cache-dir", str(tmp_path / "empty")]
+    loaded = _modules(f"import siegel2.cli\nassert siegel2.cli.main({argv!r}) == 0")
+    assert {"siegel2.construction", "siegel2.kernel"} <= loaded

@@ -31,7 +31,8 @@ from siegel2.igusa import (
     save_generator_set,
     siegel_eisenstein,
 )
-from siegel2.numtheory import bernoulli, cohen_h
+from siegel2.construction import cohen_h
+from siegel2.numtheory import bernoulli
 from siegel2.qexp import Expansion, iter_l2_indices
 from siegel2.reference import MIN_MATRIX_REFERENCE, X35_LOW_TRACE, x35_reference_violations
 
@@ -145,9 +146,9 @@ def test_family_gates(genset_small):
 
 
 def test_family_validation_catches_corruption(monkeypatch):
-    import siegel2.igusa as ig
+    import siegel2.construction as con
 
-    real = ig.siegel_eisenstein
+    real = con.siegel_eisenstein
 
     def corrupted(k, bound):
         F = real(k, bound)
@@ -157,29 +158,29 @@ def test_family_validation_catches_corruption(monkeypatch):
         wrong[1, 0, 0] += 1
         return Expansion(8, bound, wrong)
 
-    monkeypatch.setattr(ig, "siegel_eisenstein", corrupted)
+    monkeypatch.setattr(con, "siegel_eisenstein", corrupted)
     with pytest.raises(ConstructionError):
-        ig.eisenstein_family(2)
+        con.eisenstein_family(2)
 
 
 def test_eisenstein_family_refuses_a_wrong_h0(monkeypatch):
     # a wrong zeta(3 - 2k) = H(k - 1, 0) rescales all of E_k, a(0) = 1
-    # included; the solve in h_series takes its own H(r, 0) from numtheory
-    import siegel2.igusa as ig
+    # included; the solve in h_series takes its own H(r, 0) from bernoulli
+    import siegel2.construction as con
 
     def wrong(r, n):
         return cohen_h(r, n) * (2 if (r, n) == (11, 0) else 1)
 
-    monkeypatch.setattr(ig, "cohen_h", wrong)
+    monkeypatch.setattr(con, "cohen_h", wrong)
     with pytest.raises(ConstructionError, match="restriction of E12 disagrees"):
-        ig.eisenstein_family(6)
+        con.eisenstein_family(6)
 
 
 def test_eisenstein_family_refuses_e8_unequal_to_e4_squared(monkeypatch):
     # a rank-2 coefficient is off the Siegel restriction: only E4^2 = E8 sees it
-    import siegel2.igusa as ig
+    import siegel2.construction as con
 
-    real = ig.siegel_eisenstein
+    real = con.siegel_eisenstein
 
     def corrupted(k, bound):
         F = real(k, bound)
@@ -187,7 +188,7 @@ def test_eisenstein_family_refuses_e8_unequal_to_e4_squared(monkeypatch):
             F.coeffs[1, 1, 0] += 1
         return F
 
-    monkeypatch.setattr(ig, "siegel_eisenstein", corrupted)
+    monkeypatch.setattr(con, "siegel_eisenstein", corrupted)
     with pytest.raises(ConstructionError, match=re.escape("E4^2 != E8")):
         build_generator_set(5)
 
@@ -219,38 +220,38 @@ def test_cusp_forms_vanish_on_singular_indices(genset_small):
     ({(2, 0, 0): 3, (1, 1, 2): -1}, (1, 1, 2)),
 ], ids=["one", "least-in-index-order"])
 def test_build_refuses_a_cusp_form_with_a_rank1_coefficient(monkeypatch, extra, named):
-    import siegel2.igusa as ig
+    import siegel2.construction as con
 
-    real = ig.build_x10_x12
+    real = con.build_x10_x12
 
     def corrupted(bound):
         x10, x12 = real(bound)
         return Expansion(10, bound, {**extra, **x10.coeffs}), x12
 
-    monkeypatch.setattr(ig, "build_x10_x12", corrupted)
+    monkeypatch.setattr(con, "build_x10_x12", corrupted)
     message = f"X10 has a nonzero rank<=1 coefficient at {named}"
     with pytest.raises(ConstructionError, match=re.escape(message)):
         build_generator_set(5)
 
 
 def test_build_refuses_a_generator_off_its_normalization(monkeypatch):
-    import siegel2.igusa as ig
+    import siegel2.construction as con
 
-    real = ig.build_x10_x12
+    real = con.build_x10_x12
 
     def corrupted(bound):
         x10, x12 = real(bound)
         return x10, x12.scale(2)
 
-    monkeypatch.setattr(ig, "build_x10_x12", corrupted)
+    monkeypatch.setattr(con, "build_x10_x12", corrupted)
     with pytest.raises(ConstructionError, match=re.escape("X12 normalization at (1, 1, 1) failed")):
         build_generator_set(5)
 
 
 def test_build_refuses_a_non_integral_coefficient_at_the_least_index(monkeypatch):
-    import siegel2.igusa as ig
+    import siegel2.construction as con
 
-    real = ig.build_x10_x12
+    real = con.build_x10_x12
     # sigma-symmetric; dict order puts (2, 1, 0) first, the index order (1, 1, -1)
     extra = {(2, 1, 0): Fraction(1, 3), (1, 2, 0): Fraction(1, 3), (1, 1, -1): Fraction(-7, 2)}
 
@@ -259,10 +260,22 @@ def test_build_refuses_a_non_integral_coefficient_at_the_least_index(monkeypatch
         rest = {T: v for T, v in x10.coeffs.items() if T not in extra}
         return Expansion(10, bound, {**extra, **rest}), x12
 
-    monkeypatch.setattr(ig, "build_x10_x12", corrupted)
+    monkeypatch.setattr(con, "build_x10_x12", corrupted)
     message = "non-integral coefficient -7/2 at (1, 1, -1) in X10"
     with pytest.raises(ConstructionError, match=re.escape(message)):
         build_generator_set(5)
+
+
+def test_a_build_below_the_trace_of_the_x35_index_is_refused_in_one_text(genset_small):
+    # the text the command line prints for --trace-bound 4 (tests/test_scripts.py)
+    message = ("generator builds need trace bound >= 5 "
+               "(the X35 normalization index (2,3,-1) has trace 5)")
+    cut = [Expansion(F.weight, 4, {T: v for T, v in F.coeffs.items() if T[0] + T[1] <= 4})
+           for F in (genset_small.atom(name) for name in ("X4", "X6", "X10", "X12"))]
+    with pytest.raises(ConstructionError, match=re.escape(message)):
+        build_x35(*cut)
+    with pytest.raises(ConstructionError, match=re.escape(message)):
+        build_generator_set(4)
 
 
 def cusp_projection(basis, conditions):

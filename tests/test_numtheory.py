@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from siegel2 import numtheory
+from siegel2 import construction
+from siegel2.construction import cohen_h, h_series
 from siegel2.igusa import ConstructionError, siegel_eisenstein
 from siegel2.numtheory import (
     bernoulli,
-    cohen_h,
     divisor_sigma,
-    h_series,
     divisors,
     factorize,
     is_prime,
@@ -405,17 +404,17 @@ def test_h_series_equals_cohen_h(r):
 
 
 def _patch_top_basis(monkeypatch, r, change):
-    """Make numtheory._theta_f return change(series) for the top basis
+    """Make construction._theta_f return change(series) for the top basis
     element theta^(2r+1-4J) F^J of weight r + 1/2, which no other series
     is built from, so the real cache stays clean."""
     top = (2 * r + 1) // 4
-    real = numtheory._theta_f
+    real = construction._theta_f
 
     def patched(a, j, count):
         series = real(a, j, count)
         return change(list(series), count) if (a, j) == (2 * r + 1 - 4 * top, top) else series
 
-    monkeypatch.setattr(numtheory, "_theta_f", patched)
+    monkeypatch.setattr(construction, "_theta_f", patched)
 
 
 def _refused(r, message):
@@ -441,7 +440,7 @@ def test_h_series_refuses_a_perturbed_basis_series(monkeypatch, n):
 
 def test_h_series_refuses_two_equal_basis_series(monkeypatch):
     # theta^3 F^5 replaced by theta^7 F^4: the coordinates of the pair are unfixed
-    _patch_top_basis(monkeypatch, 11, lambda series, count: numtheory._theta_f(7, 4, count))
+    _patch_top_basis(monkeypatch, 11, lambda series, count: construction._theta_f(7, 4, count))
     _refused(11, r"rows do not fix H\(11, N\)")
 
 

@@ -14,8 +14,8 @@ from siegel2.qexp import (
     ReductionError,
     iter_l2_indices,
     order_key,
-    product_sums,
 )
+from siegel2.kernel import product_sums
 
 # the order lives on all of Lambda_2: arbitrary integer triples
 lambda2 = st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8))
@@ -210,7 +210,7 @@ def test_pow_is_repeated_multiplication_by_square_and_multiply(monkeypatch, e):
         calls.append(1)
         return product_sums(*args, **kwargs)
 
-    monkeypatch.setattr("siegel2.qexp.product_sums", counted)
+    monkeypatch.setattr("siegel2.kernel.product_sums", counted)
     assert F ** e == power
     # bit_length - 1 squarings and popcount - 1 multiplies by F
     assert len(calls) == ((e.bit_length() - 1) + (bin(e).count("1") - 1) if e else 0)
