@@ -8,7 +8,8 @@ Usage:
 on stdout, the same `error: ...` lines on stderr, the same exit status
 (0 certified, 1 refuted, 2 insufficient bound or a usage error) and the
 same cache directory (--cache-dir, else $SIEGEL2_CACHE_DIR, else
-./.siegel2-cache).
+./.siegel2-cache).  Run as a script it starts at `cli.entry`, as
+`siegel2 verify` does; `main(argv)` is the same command in process.
 """
 
 import sys
@@ -21,4 +22,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    cli.entry(["verify", *sys.argv[1:]])

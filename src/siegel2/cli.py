@@ -15,7 +15,10 @@ SIEGEL2_CACHE_DIR or ./.siegel2-cache); `coeff` and `minmat` also take
 --format {table,lines}.  `main`
 checks the bound and resolves the cache directory once, before any
 command runs; `sturm` takes the weight the parser infers.
-`scripts/reproduce_mod23.py ARGS` is `main(["verify", *ARGS])`.
+A process starts at `entry` (the console script, `python -m siegel2.cli`,
+and `scripts/reproduce_mod23.py ARGS` as `entry(["verify", *ARGS])`),
+which calls `gc.freeze()` and then `main`, so the collector's passes at
+exit skip what start-up and the imports made; `main` does not freeze.
 
 `import siegel2.cli` imports `igusa`, `qexp` and `numtheory`; `main`
 imports the rest as the command needs it (`_USES`): `expr` for coeff,
@@ -34,6 +37,7 @@ or insufficient trace bound.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from importlib import import_module
@@ -316,9 +320,14 @@ def main(argv=None) -> int:
         return 2
 
 
-def entry() -> None:
-    raise SystemExit(main())
+def entry(argv=None) -> None:
+    """Run `main` as a whole process and exit with its status.  Every
+    object tracked so far, mostly the imported modules' functions and
+    tables, is frozen first, so no later collection walks it, the passes
+    at interpreter exit included."""
+    gc.freeze()
+    raise SystemExit(main(argv))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -208,8 +208,9 @@ def eval_expr(node: Node, gen, modulus: int | None = None, at=None):
     With an index `at` = (m, n, r), the value is a(at) alone, found on the
     box of indices (m', n', r') with m' <= m and n' <= n: a coefficient of
     a sum or product there needs the operands' coefficients there only.
-    Each atom is still reduced whole, so a coefficient that is not
-    p-integral anywhere raises the same ReductionError.
+    Each atom is scanned whole for p-integrality before its box is
+    reduced, so a coefficient that is not p-integral anywhere raises the
+    ReductionError of a whole evaluation.
     """
     bound = gen.trace_bound
     if at is not None:
@@ -222,8 +223,11 @@ def eval_expr(node: Node, gen, modulus: int | None = None, at=None):
             name = n.args[0]
             if name not in atoms:
                 exp = gen.atom(name)
-                exp = exp.reduce_mod(modulus) if modulus is not None else exp
-                atoms[name] = exp if at is None else _box(exp, at)
+                if at is not None:
+                    if modulus is not None:
+                        exp.require_p_integral(modulus)
+                    exp = _box(exp, at)
+                atoms[name] = exp if modulus is None else exp.reduce_mod(modulus)
             values.append(atoms[name])
         elif n.op == "num":
             values.append(Expansion.constant(n.args[0], bound, modulus))

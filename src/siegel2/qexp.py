@@ -357,9 +357,18 @@ class Expansion:
             out = {T: v for T, c in self.coeffs.items()
                    if (v := c % p if type(c) is int else _embed(c, p, T))}
         except ReductionError:
-            T = min((T for T, c in self.coeffs.items() if c.denominator % p == 0), key=order_key)
-            raise ReductionError(T, self.coeffs[T], p) from None
+            self.require_p_integral(p)  # the error at the least offender
+            raise  # not reached: the scan meets the denominator _embed met
         return Expansion._raw(self.weight, self.trace_bound, out, p)
+
+    def require_p_integral(self, p: int) -> None:
+        """Raise the ReductionError of `reduce_mod(p)` when a denominator
+        is divisible by p: at the least such index in the index order."""
+        require_prime(p)
+        T = min((T for T, c in self.coeffs.items() if type(c) is not int and not c.denominator % p),
+                key=order_key, default=None)
+        if T is not None:
+            raise ReductionError(T, self.coeffs[T], p) from None
 
     # ----- serialization ------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line driver (via main(argv))."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -210,7 +211,7 @@ def test_coeff_agrees_with_dump(cli_cache9, capsys, expr, prime):
         assert run(capsys, "coeff", expr, *T, "--format", "lines", *common) == (0, f"{want}\n", "")
 
 
-@pytest.mark.parametrize("expr, index", [("E12", (0, 0, 0)), ("E12*X4", (1, 0, 0))])
+@pytest.mark.parametrize("expr, index", [("E12", (0, 0, 0)), ("E12*X4", (1, 0, 0)), ("E12", (1, 0, 0))])
 def test_coeff_reduces_each_atom_whole(cli_cache, capsys, expr, index):
     # the box of the index holds no coefficient that is not 691-integral, but
     # E12 does, first at (0, 1, 0): the answer is the error of a whole evaluation
@@ -567,15 +568,22 @@ def test_flag_overrides_env_var(cli_cache, tmp_path, capsys, monkeypatch):
 # ----- start-up ------------------------------------------------------------
 
 
-def _modules(code):
-    """The modules a fresh interpreter holds after running `code`."""
+def _python(*args):
+    """(stdout, stderr, exit status) of a fresh interpreter on the package's
+    sources, given the interpreter arguments `args`."""
     src = Path(siegel2.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True, text=True, check=True, timeout=60,
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
     )
-    return set(proc.stdout.splitlines()[-1].split())
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def _modules(code):
+    """The modules a fresh interpreter holds after running `code`."""
+    out, err, status = _python("-c", f"{code}\nimport sys; print(*sys.modules)")
+    assert status == 0, err
+    return set(out.splitlines()[-1].split())
 
 
 def test_import_loads_no_heavy_stdlib_modules():
@@ -613,3 +621,59 @@ def test_a_build_into_an_empty_directory_imports_the_construction(tmp_path):
     argv = ["build", "--trace-bound", "5", "--cache-dir", str(tmp_path / "empty")]
     loaded = _modules(f"import siegel2.cli\nassert siegel2.cli.main({argv!r}) == 0")
     assert {"siegel2.construction", "siegel2.kernel"} <= loaded
+
+
+# ----- process entry -------------------------------------------------------
+
+
+# a fresh process runs `call`, then prints the frozen count before and after it
+FREEZE_COUNTS = """
+import gc, sys
+before = gc.get_freeze_count()
+try:
+    {call}
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(before, gc.get_freeze_count())
+"""
+
+
+@pytest.mark.parametrize("call", [
+    "import siegel2.cli; siegel2.cli.entry(ARGV)",
+    # as `python -m siegel2.cli` runs it: the module is not imported first
+    "import runpy; sys.argv = ['siegel2', *ARGV]; runpy.run_module('siegel2.cli', run_name='__main__')",
+], ids=["entry", "run_module"])
+def test_a_process_started_at_entry_freezes_what_it_tracks(cli_cache, call):
+    argv = ["coeff", "X4", "1", "0", "0", "--cache-dir", str(cli_cache)]
+    code = f"ARGV = {argv!r}" + FREEZE_COUNTS.format(call=call)
+    out, err, status = _python("-c", code)
+    assert (err, status) == ("", 0)
+    answer, counts = out.splitlines()
+    assert answer == "a((1,0,0); X4) = 240"
+    before, after = map(int, counts.split())
+    assert after > before
+
+
+def test_main_leaves_the_collector_unfrozen(cli_cache, capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, "coeff", "X4", 1, 0, 0, "--cache-dir", cli_cache)[0] == 0
+    assert run(capsys, "verify", "--trace-bound", 8, "--cache-dir", cli_cache)[0] == 2
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["coeff", "X4", "1", "0", "0"],
+    ["verify"],
+    ["verify", "--prime", "7"],
+    ["coeff", "X4", "1", "1", "5"],
+], ids=" ".join)
+def test_python_m_prints_what_main_prints(cli_cache, capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to this width
+    argv = [*argv, "--cache-dir", str(cli_cache)] if argv != ["--help"] else argv
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # --help and argparse's own errors
+        status = exc.code
+    out = capsys.readouterr()
+    assert _python("-m", "siegel2.cli", *argv) == (out.out, out.err, status)

@@ -113,6 +113,22 @@ def test_eval_at_an_index_is_the_full_coefficient(genset9, src, modulus):
         eval_expr(node, genset9, modulus, at=(5, 5, 0))
 
 
+def test_eval_at_an_index_reduces_only_the_box(genset9, monkeypatch):
+    # the whole atom is scanned for p-integrality, only its box is reduced
+    bounds = []
+    reduce_mod = Expansion.reduce_mod
+
+    def recorded(self, p):
+        bounds.append(self.trace_bound)
+        return reduce_mod(self, p)
+
+    monkeypatch.setattr(Expansion, "reduce_mod", recorded)
+    node = parse("X10*X12*X4")
+    got = eval_expr(node, genset9, 23, at=(2, 3, -1))
+    assert bounds == [5, 5, 5]  # X10, X12 and X4 cut to the trace 2 + 3 of the box
+    assert got == eval_expr(node, genset9, 23).coefficient((2, 3, -1))
+
+
 def test_eval_scalar_weight_zero(genset_small):
     half = eval_expr(parse("1/2*X10"), genset_small)
     assert half.coefficient((1, 1, 1)) == Fraction(1, 2)

@@ -642,6 +642,20 @@ def test_reduce_mod_reports_the_least_offender_in_index_order():
     assert err.value.coefficient == Fraction(2, 23)
 
 
+def test_require_p_integral_raises_the_error_of_reduce_mod():
+    coeffs = {(2, 1, 1): Fraction(1, 23), (0, 0, 0): Fraction(1, 2), (1, 2, 1): Fraction(2, 23)}
+    F = Expansion(0, 4, coeffs)
+    with pytest.raises(ReductionError) as scanned:
+        F.require_p_integral(23)
+    with pytest.raises(ReductionError) as reduced:
+        F.reduce_mod(23)
+    assert (scanned.value.index, scanned.value.coefficient) == ((1, 2, 1), Fraction(2, 23))
+    assert str(scanned.value) == str(reduced.value)
+    F.require_p_integral(5)  # every denominator is prime to 5
+    with pytest.raises(ValueError, match="modulus 4 is not prime"):
+        F.require_p_integral(4)
+
+
 @given(F=expansions())
 def test_reduce_mod_is_ring_map(F):
     p = 11
