@@ -12,23 +12,21 @@ Subcommands:
 
 Common flags: --trace-bound (default 12), --cache-dir (default from
 SIEGEL2_CACHE_DIR or ./.siegel2-cache); `coeff` and `minmat` also take
---format {table,lines}.  `main`
-checks the bound and resolves the cache directory once, before any
-command runs; `sturm` takes the weight the parser infers.
+--format {table,lines}.  `main` checks the bound (`check_trace_bound`:
+5 to 40) and resolves the cache directory once, before any command reads
+a cache; `sturm` takes the weight the parser infers.
 A process starts at `entry` (the console script, `python -m siegel2.cli`,
 and `scripts/reproduce_mod23.py ARGS` as `entry(["verify", *ARGS])`),
 which calls `gc.freeze()` and then `main`, so the collector's passes at
 exit skip what start-up and the imports made; `main` does not freeze.
 
-`import siegel2.cli` imports `igusa`, `qexp` and `numtheory`; `main`
-imports the rest as the command needs it (`_USES`): `expr` for coeff,
-dump and theta, `expr` and `congruence` for minmat and sturm,
-`congruence` and `reference` for verify, nothing more for build.  Their
-names are read as attributes of this module all the same
-(`__getattr__`).  `construction` is imported only to build a missing
-cache (`ensure_generator_set`) and `kernel` at the first product, so a
-command on a complete cache compiles neither unless it multiplies.  `coeff`
-evaluates its expression on the box of its index (`eval_expr(..., at=T)`).
+`import siegel2.cli` imports `igusa`, `qexp` and `numtheory`.  The rest
+is imported lazily, by one rule: a command imports the modules `_USES`
+names for it, and `cli` binds the names of their `__all__` (a read of any
+other public name binds them all, `__getattr__`); a cache miss imports
+`construction` and `igusa` binds its `__all__` the same way.  `kernel` is
+imported at the first product.  `coeff` evaluates its expression on the
+box of its index (`eval_expr(..., at=T)`).
 
 Exit status: 0 success/certified, 1 refuted (with witness), 2 usage error
 or insufficient trace bound.
@@ -43,25 +41,13 @@ import sys
 from importlib import import_module
 
 from .igusa import (
-    CACHE_NAMES, MIN_BUILD_BOUND, ConstructionError, cache_path, ensure_generator_set,
+    CACHE_NAMES, ConstructionError, cache_path, ensure_generator_set, require_build_bound,
 )
 from .qexp import Expansion, iter_l2_indices, require_prime, theta_quarter
 
-# the names `cli` takes from each module it imports on demand: `main` binds
-# those of its command's modules (`_USES`), `__getattr__` those of any
-# other read, `cli.parse` say.  A name bound already, to a caller's
-# wrapper say, is kept.
-_DEFERRED = {
-    "congruence": (
-        "CERTIFIED", "INSUFFICIENT", "REFUTED", "Certificate", "CheckRecord",
-        "min_matrix", "sturm_bound_even", "sturm_bound_odd", "sturm_even", "sturm_odd",
-        "theta_mod5_insufficient", "verify_x35_mod23", "verify_theta_mod5",
-        "x35_mod23_insufficient",
-    ),
-    "expr": ("eval_expr", "literals", "parse"),
-    "reference": ("X35_LOW_TRACE", "x35_reference_violations"),
-}
-# the deferred modules of each command
+# the modules each command imports; `main` binds the names of their
+# `__all__` here, `__getattr__` those of all of them on any other read
+# (`cli.parse`, say).  A name bound already, to a caller's wrapper say, is kept.
 _USES = {
     "build": (),
     "verify": ("congruence", "reference"),
@@ -74,17 +60,17 @@ _USES = {
 
 
 def _bind(*modules) -> None:
-    """Import each deferred module and bind its names where none is bound."""
-    for module in modules:
-        values = vars(import_module(f".{module}", __package__))
-        for name in _DEFERRED[module]:
-            globals().setdefault(name, values[name])
+    """Import each module and bind the names of its `__all__` where none is bound."""
+    for name in modules:
+        module = import_module(f".{name}", __package__)
+        for attr in module.__all__:
+            globals().setdefault(attr, getattr(module, attr))
 
 
 def __getattr__(name):
-    for module, names in _DEFERRED.items():
-        if name in names:
-            _bind(module)
+    if not name.startswith("_"):  # the import system probes `__path__` and the like
+        _bind(*sorted({module for uses in _USES.values() for module in uses}))
+        if name in globals():
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -106,6 +92,9 @@ def _cache_dir(given):
 
 
 def check_trace_bound(trace_bound: int) -> None:
+    """Refuse a bound below the build floor or above the cap, before any
+    cache is read."""
+    require_build_bound(trace_bound)
     if trace_bound > MAX_TRACE_BOUND:
         raise ValueError(f"trace bound {trace_bound} exceeds the maximum {MAX_TRACE_BOUND}")
 
@@ -176,12 +165,10 @@ def verify_certificate(gen, prime: int) -> Certificate:
 
 def _cmd_verify(args) -> int:
     # an Insufficient certificate depends on the bound alone: no build for it
-    # (a bound no build accepts still fails in the build)
-    if args.trace_bound >= MIN_BUILD_BOUND:
-        insufficient = theta_mod5_insufficient if args.prime == 5 else x35_mod23_insufficient
-        cert = insufficient(args.trace_bound)
-        if cert is not None:
-            return _print_certificate(cert)
+    insufficient = theta_mod5_insufficient if args.prime == 5 else x35_mod23_insufficient
+    cert = insufficient(args.trace_bound)
+    if cert is not None:
+        return _print_certificate(cert)
     gen, _ = ensure_generator_set(args.trace_bound, args.cache_dir)
     return _print_certificate(verify_certificate(gen, args.prime))
 

@@ -1,9 +1,8 @@
 """Construction of the five ring generators as exact truncated expansions.
 
 Only a cache miss runs this module: `igusa.ensure_generator_set` imports
-it to build, and `igusa` answers its public names on first read
-(`igusa.build_x35`, say), so a command on a complete cache never
-compiles it.
+it to build and binds its `__all__` in `igusa` (see `cli` for the rule),
+so a command on a complete cache never compiles it.
 
 Every even form here is a Maass lift (Eichler-Zagier, *The Theory of
 Jacobi Forms*, 1985, section 6): from the coefficients c(D) of a Jacobi
@@ -79,8 +78,8 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from .igusa import (
-    GENERATOR_NAMES, MIN_BUILD_BOUND, NORMALIZATION, SUPPORTED_WEIGHTS, ConstructionError,
-    GeneratorSet, genus1_eisenstein,
+    GENERATOR_NAMES, NORMALIZATION, SUPPORTED_WEIGHTS, ConstructionError, GeneratorSet,
+    genus1_eisenstein, require_build_bound,
 )
 from .kernel import product_sums
 from .numtheory import bernoulli, divisor_sigma, divisors
@@ -192,16 +191,6 @@ def h_series(r: int, count: int) -> tuple[list[int], int]:
 # ----- the generators -------------------------------------------------------
 
 
-def _require_build_bound(bound: int) -> None:
-    """Refuse a bound below the trace of the X35 normalization index."""
-    if bound < MIN_BUILD_BOUND:
-        index = ",".join(map(str, NORMALIZATION["X35"]))
-        raise ConstructionError(
-            f"generator builds need trace bound >= {MIN_BUILD_BOUND} "
-            f"(the X35 normalization index ({index}) has trace {MIN_BUILD_BOUND})"
-        )
-
-
 @cache
 def _lift_keys(trace_bound: int):
     """The index map of every lift at one bound: each index T != 0, in the
@@ -303,7 +292,7 @@ def build_x35(x4: Expansion, x6: Expansion, x10: Expansion, x12: Expansion) -> E
     the module docstring; a column that is not sigma-symmetric raises ValueError."""
     forms = (x4, x6, x10, x12)
     bound = min(f.trace_bound for f in forms)
-    _require_build_bound(bound)
+    require_build_bound(bound)
     p = x4.modulus
     if any(f.modulus != p for f in forms):
         raise ValueError("domain mismatch: the four generators must share one domain")
@@ -365,7 +354,7 @@ def _check_generator(name: str, F: Expansion) -> None:
 
 def build_generator_set(trace_bound: int) -> GeneratorSet:
     """Build all five generators (and the Eisenstein family) at one bound."""
-    _require_build_bound(trace_bound)
+    require_build_bound(trace_bound)
     family = eisenstein_family(trace_bound)
     forms = {f"E{k}": family[k] for k in SUPPORTED_WEIGHTS}
     forms["X4"], forms["X6"] = family[4], family[6]

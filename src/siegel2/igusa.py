@@ -3,8 +3,8 @@
 Every command uses this module; only a cache miss builds.  The build
 lives in `construction` (the Eisenstein family from Cohen's H, the Maass
 lifts X10 and X12, the determinant X35 and the check of each generator),
-which `ensure_generator_set` imports when the cache is incomplete.  Its
-public names are read here too (`igusa.build_x35`, see `_DEFERRED`).
+which `ensure_generator_set` imports when the cache is incomplete, binding
+the names of its `__all__` here (see `cli` for the rule).
 
 Generators and normalizations (`NORMALIZATION`):
 
@@ -12,10 +12,10 @@ Generators and normalizations (`NORMALIZATION`):
     X10, X12: cusp forms             a((1,1,1)) = 1, zero on rank <= 1
     X35: odd generator               a((2,3,-1)) = 1
 
-A build needs the trace of the X35 index, `MIN_BUILD_BOUND` = 5.  The
-cache holds ten text files, E4..E12 and X4..X35, keyed by name, bound and
-`FORMULA_VERSION`; `load_generator_set` reads none of them up front (see
-`GeneratorSet`).
+A build needs the trace of the X35 index, `MIN_BUILD_BOUND` = 5
+(`require_build_bound`).  The cache holds ten text files, E4..E12 and
+X4..X35, keyed by name, bound and `FORMULA_VERSION`; `load_generator_set`
+reads none of them up front (see `GeneratorSet`).
 """
 
 from __future__ import annotations
@@ -33,14 +33,9 @@ __all__ = [
     "SUPPORTED_WEIGHTS",
     "GENERATOR_NAMES",
     "MIN_BUILD_BOUND",
+    "require_build_bound",
     "genus1_eisenstein",
-    "maass_lift",
-    "siegel_eisenstein",
-    "eisenstein_family",
-    "build_x10_x12",
-    "build_x35",
     "GeneratorSet",
-    "build_generator_set",
     "cache_path",
     "save_generator_set",
     "load_generator_set",
@@ -61,25 +56,30 @@ CACHE_NAMES = ("E4", "E6", "E8", "E10", "E12") + GENERATOR_NAMES
 # the atoms of the expression language; each name carries its weight
 ATOM_WEIGHTS = {name: int(name[1:]) for name in CACHE_NAMES}
 
-# the names of `construction` answered here: `ensure_generator_set` binds
-# them on a cache miss, `__getattr__` on any other read (`igusa.build_x35`,
-# say).  A name bound already, to a caller's wrapper say, is kept.
-_DEFERRED = ("cohen_h", "maass_lift", "siegel_eisenstein", "eisenstein_family",
-             "build_x10_x12", "build_x35", "build_generator_set")
+
+def require_build_bound(bound: int) -> None:
+    """Refuse a bound below the trace of the X35 normalization index."""
+    if bound < MIN_BUILD_BOUND:
+        index = ",".join(map(str, NORMALIZATION["X35"]))
+        raise ConstructionError(
+            f"generator builds need trace bound >= {MIN_BUILD_BOUND} "
+            f"(the X35 normalization index ({index}) has trace {MIN_BUILD_BOUND})"
+        )
 
 
 def _bind() -> None:
-    """Import `construction` and bind its names where none is bound."""
+    """Import `construction` and bind the names of its `__all__` where none is bound."""
     from . import construction
 
-    for name in _DEFERRED:
+    for name in construction.__all__:
         globals().setdefault(name, getattr(construction, name))
 
 
 def __getattr__(name):
-    if name in _DEFERRED:
+    if not name.startswith("_"):  # the import system probes `__path__` and the like
         _bind()
-        return globals()[name]
+        if name in globals():
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -24,8 +24,8 @@ Two coefficient domains are supported:
   carried on the expansion (`modulus` attribute; `None` means rational).
 
 Every operation computes with plain `+` and `*` in either domain and hands
-each result to one normaliser, `_canon`; `_embed` turns a rational scalar
-into a coefficient of the domain.  The coefficient-wise operations
+each result to one normaliser, `_canon`, which also turns a rational
+scalar into a coefficient of the domain.  The coefficient-wise operations
 (`scale`, `derivative`, `theta`) are each one call of `Expansion._map`,
 which maps every coefficient, canonicalises it and drops the zeros.
 
@@ -104,35 +104,31 @@ def require_prime(p: int) -> None:
         raise ValueError(f"modulus {p} is not prime")
 
 
-def _canon(v, p: int | None):
-    """v in the canonical form of its domain: a residue in [0, p) mod p,
-    an int in place of an integer-valued Fraction when p is None."""
-    if p is None:
-        return int(v) if type(v) is Fraction and v.denominator == 1 else v
-    return v % p
-
-
-def _embed(c, p: int | None, index=None):
-    """The rational c as a canonical coefficient of the domain of p.
+def _canon(v, p: int | None, index=None):
+    """v in the canonical form of the domain of p: an int in place of an
+    integer-valued Fraction when p is None; mod p, a residue in [0, p),
+    a Fraction's by the inverse of its denominator.
 
     A denominator divisible by p raises ReductionError at `index`, or a
     ValueError naming the scalar when no index is given.
     """
+    if type(v) is not Fraction:
+        return v if p is None else v % p
+    num, den = v.numerator, v.denominator
     if p is None:
-        return _canon(c, None)
-    num, den = c.numerator, c.denominator
+        return num if den == 1 else v
     if den % p == 0:
         if index is None:
-            raise ValueError(f"scalar {c} is not {p}-integral")
-        raise ReductionError(index, c, p)
-    return num % p if den == 1 else num * pow(den, -1, p) % p
+            raise ValueError(f"scalar {v} is not {p}-integral")
+        raise ReductionError(index, v, p)
+    return num * pow(den, -1, p) % p
 
 
 def theta_quarter(p: int | None):
     """The 1/4 of det(T) = (4mn - r^2)/4 in the domain of p, for theta."""
     if p == 2:
         raise ValueError("theta needs 4 invertible: p = 2 is not supported")
-    return _embed(Fraction(1, 4), p)
+    return _canon(Fraction(1, 4), p)
 
 
 _AXIS_SLOT = {"11": 0, "12": 2, "22": 1}  # which of (m, n, r) multiplies
@@ -176,7 +172,7 @@ class Expansion:
                     raise ValueError(f"index {T} is not positive semidefinite")
                 if m + n > trace_bound:
                     raise ValueError(f"index {T} exceeds the trace bound {trace_bound}")
-                val = _embed(val, modulus, T)
+                val = _canon(val, modulus, T)
                 if val:
                     canon[T] = val
         self.weight = weight
@@ -281,7 +277,7 @@ class Expansion:
     def scale(self, c) -> "Expansion":
         """Scalar multiple; preserves the weight."""
         p = self.modulus
-        c = _embed(c, p)
+        c = _canon(c, p)
         return self._map(self.weight, lambda T, v: v * c, p)
 
     def __mul__(self, other):
@@ -352,13 +348,9 @@ class Expansion:
         """
         if self.modulus is not None:
             raise ValueError("expansion is already reduced")
-        require_prime(p)
-        try:
-            out = {T: v for T, c in self.coeffs.items()
-                   if (v := c % p if type(c) is int else _embed(c, p, T))}
-        except ReductionError:
-            self.require_p_integral(p)  # the error at the least offender
-            raise  # not reached: the scan meets the denominator _embed met
+        self.require_p_integral(p)
+        out = {T: v for T, c in self.coeffs.items()
+               if (v := c % p if type(c) is int else _canon(c, p))}
         return Expansion._raw(self.weight, self.trace_bound, out, p)
 
     def require_p_integral(self, p: int) -> None:

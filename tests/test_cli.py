@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import siegel2
+from siegel2 import cli, igusa
 from siegel2.cli import ENV_CACHE_DIR, MAX_TRACE_BOUND, _print_certificate, main, verify_certificate
 from siegel2.expr import MAX_NESTING
 from siegel2.igusa import CACHE_NAMES, GeneratorSet, cache_path, save_generator_set
@@ -240,6 +241,26 @@ def test_coeff_rejects_bad_index(cli_cache, capsys):
     assert status == 2 and "trace bound" in err
 
 
+BUILD_FLOOR_ERROR = ("error: generator builds need trace bound >= 5 "
+                     "(the X35 normalization index (2,3,-1) has trace 5)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build"], ["verify"], ["verify", "--prime", "5"], ["coeff", "X4", "0", "0", "0"],
+    ["minmat", "X4", "--prime", "23"], ["theta", "X4"], ["sturm", "X4", "--prime", "23"],
+    ["dump", "X4"],
+], ids=" ".join)
+def test_a_bound_below_the_build_floor_is_refused_before_any_cache_is_read(
+    tmp_path, capsys, monkeypatch, argv
+):
+    def load(*args):
+        raise AssertionError("the cache was read")
+
+    monkeypatch.setattr(igusa, "load_generator_set", load)
+    status, out, err = run(capsys, *argv, "--trace-bound", 4, "--cache-dir", tmp_path)
+    assert (status, out, err) == (2, "", BUILD_FLOOR_ERROR)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["coeff", "X4", -1, 0, 0], "error: index (-1, 0, 0) is not positive semidefinite\n"),
     (["coeff", "X4", 9, 9, 0], "error: index (9, 9, 0) exceeds the trace bound 14\n"),
@@ -257,7 +278,7 @@ def test_coeff_rejects_bad_index(cli_cache, capsys):
     (["coeff", "1/0", 1, 0, 0], "error: zero denominator (at position 2)\n"),
     (["dump", "(" * 400 + "X4" + ")" * 400, "--prime", 23],
      f"error: parentheses nested deeper than {MAX_NESTING} (at position {MAX_NESTING})\n"),
-    (["coeff", "X4", 0, 0, 0, "--trace-bound", -1], "error: trace bound must be >= 0\n"),
+    (["coeff", "X4", 0, 0, 0, "--trace-bound", -1], BUILD_FLOOR_ERROR),
     # ids: the argv after the expression, then the message
 ], ids=lambda case: "-".join(map(str, case[2:])) if isinstance(case, list) else case)
 def test_coeff_rejects_bad_index_before_any_build(tmp_path, capsys, argv, message):
@@ -621,6 +642,28 @@ def test_a_build_into_an_empty_directory_imports_the_construction(tmp_path):
     argv = ["build", "--trace-bound", "5", "--cache-dir", str(tmp_path / "empty")]
     loaded = _modules(f"import siegel2.cli\nassert siegel2.cli.main({argv!r}) == 0")
     assert {"siegel2.construction", "siegel2.kernel"} <= loaded
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (cli, "parse", ["coeff", "X4", "1", "0", "0"]),
+    (cli, "min_matrix", ["minmat", "X35", "--prime", "23"]),
+    (cli, "x35_reference_violations", ["verify"]),
+    (igusa, "build_generator_set", ["build", "--trace-bound", "5"]),  # on an empty directory
+], ids=lambda case: " ".join(case) if isinstance(case, list) else getattr(case, "__name__", case))
+def test_main_calls_a_wrapper_bound_before_it(cli_cache, tmp_path, capsys, monkeypatch,
+                                              module, name, argv):
+    # `main` and a cache miss bind a module's names only where none is bound
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    cache = tmp_path if module is igusa else cli_cache
+    assert run(capsys, *argv, "--cache-dir", cache)[0] == 0
+    assert calls
 
 
 # ----- process entry -------------------------------------------------------
