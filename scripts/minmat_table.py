@@ -4,8 +4,8 @@ Usage:
 
     python3 scripts/minmat_table.py [--trace-bound N] [--cache-dir DIR]
 
-The cache directory defaults to the one of `siegel2`: $SIEGEL2_CACHE_DIR,
-else ./.siegel2-cache.  Each generator's minimum is checked against the
+The cache directory defaults to the one of `siegel2`: $SIEGEL2_CACHE_DIR
+when set and not empty, else ./.siegel2-cache.  Each generator's minimum is checked against the
 expected table.  Exit status: 0 all match, 1 any mismatch, 2 a usage
 error, reported as `error: ...` on stderr: a trace bound below 5 or above
 the cap of `siegel2`, or a cache file whose header contradicts its name.

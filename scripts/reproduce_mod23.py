@@ -7,8 +7,8 @@ Usage:
 `reproduce_mod23.py ARGS` runs `siegel2 verify ARGS`: the same certificate
 on stdout, the same `error: ...` lines on stderr, the same exit status
 (0 certified, 1 refuted, 2 insufficient bound or a usage error) and the
-same cache directory (--cache-dir, else $SIEGEL2_CACHE_DIR, else
-./.siegel2-cache).  Run as a script it starts at `cli.entry`, as
+same cache directory (--cache-dir, else $SIEGEL2_CACHE_DIR when set and
+not empty, else ./.siegel2-cache).  Run as a script it starts at `cli.entry`, as
 `siegel2 verify` does; `main(argv)` is the same command in process.
 """
 

@@ -11,14 +11,24 @@ Subcommands:
   dump     dump an expression in the cache text format
 
 Common flags: --trace-bound (default 12), --cache-dir (default from
-SIEGEL2_CACHE_DIR or ./.siegel2-cache); `coeff` and `minmat` also take
---format {table,lines}.  `main` checks the bound (`check_trace_bound`:
-5 to 40) and resolves the cache directory once, before any command reads
-a cache; `sturm` takes the weight the parser infers.
+SIEGEL2_CACHE_DIR when set and not empty, else ./.siegel2-cache; an empty
+--cache-dir is refused); `coeff` and `minmat` also take --format
+{table,lines}.  `main` checks the bound (`check_trace_bound`: 5 to 40)
+and resolves the cache directory once, before any command reads a cache;
+`sturm` takes the weight the parser infers.
+
+The grammar is one table, `GRAMMAR`.  `main` reads a well-formed argv
+from it directly (`_read`); only an argv `_read` refuses (--help, an
+abbreviated flag, --flag=value, '--', any usage error) goes to the
+argparse parser `build_parser` makes from the same table, so help and
+usage errors are argparse's, and a well-formed command never imports
+argparse.
+
 A process starts at `entry` (the console script, `python -m siegel2.cli`,
 and `scripts/reproduce_mod23.py ARGS` as `entry(["verify", *ARGS])`),
 which calls `gc.freeze()` and then `main`, so the collector's passes at
 exit skip what start-up and the imports made; `main` does not freeze.
+A closed stdout ends the process with status 141 (128 + SIGPIPE).
 
 `import siegel2.cli` imports `igusa`, `qexp` and `numtheory`.  The rest
 is imported lazily, by one rule: a command imports the modules `_USES`
@@ -34,11 +44,11 @@ or insufficient trace bound.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 
 from .igusa import (
     CACHE_NAMES, ConstructionError, cache_path, ensure_generator_set, require_build_bound,
@@ -87,8 +97,14 @@ USAGE_ERRORS = (ConstructionError, ValueError, OSError)
 
 
 def _cache_dir(given):
-    """--cache-dir when given, else $SIEGEL2_CACHE_DIR, else ./.siegel2-cache."""
-    return os.environ.get(ENV_CACHE_DIR, ".siegel2-cache") if given is None else given
+    """--cache-dir when given, else $SIEGEL2_CACHE_DIR when set and not
+    empty, else ./.siegel2-cache.  An empty --cache-dir is refused: it
+    would put the cache files in the working directory."""
+    if given is None:
+        return os.environ.get(ENV_CACHE_DIR) or ".siegel2-cache"
+    if not given:
+        raise ValueError("--cache-dir is empty")
+    return given
 
 
 def check_trace_bound(trace_bound: int) -> None:
@@ -217,91 +233,132 @@ def _cmd_dump(args) -> int:
     return 0
 
 
-# ----- parser ------------------------------------------------------------
+# ----- grammar ------------------------------------------------------------
+
+# an option: (flag, type, default, choices, required, help); its attribute
+# is the flag without the dashes, '-' read as '_', as argparse names it
+_COMMON = (
+    ("--trace-bound", int, DEFAULT_TRACE_BOUND, None, False,
+     "truncation: indices with trace <= N are tracked "
+     f"(default {DEFAULT_TRACE_BOUND}, at most {MAX_TRACE_BOUND})"),
+    ("--cache-dir", str, None, None, False,
+     f"expansion cache directory (default ${ENV_CACHE_DIR} or ./.siegel2-cache)"),
+)
+_FORMAT = ("--format", str, "table", ("table", "lines"), False, "human table or bare machine lines")
+_EXPR = (("expr", str),)
+
+# a command: (help, handler, positionals as (name, type), options)
+GRAMMAR = {
+    "build": ("build and cache the generators", _cmd_build, (), _COMMON),
+    "verify": ("run the congruence verification", _cmd_verify, (), (
+        *_COMMON,
+        ("--prime", int, DEFAULT_PRIME, (23, 5), False,
+         "23: the X35 congruence; 5: the theta(X6) = 4*X12 identity"),
+    )),
+    "coeff": ("print a(T) of an expression", _cmd_coeff, (*_EXPR, ("m", int), ("n", int), ("r", int)), (
+        *_COMMON, _FORMAT, ("--prime", int, None, None, False, "reduce mod this prime first"),
+    )),
+    "minmat": ("p-minimum matrix of an expression", _cmd_minmat, _EXPR, (
+        *_COMMON, _FORMAT, ("--prime", int, None, None, True, None),
+    )),
+    "theta": ("dump the theta image of an expression", _cmd_theta, _EXPR, (
+        *_COMMON, ("--prime", int, None, None, False, None),
+    )),
+    "sturm": ("finite vanishing criterion mod p", _cmd_sturm, _EXPR, (
+        *_COMMON, ("--prime", int, None, None, True, None),
+    )),
+    "dump": ("dump an expression in the cache text format", _cmd_dump, _EXPR, (
+        *_COMMON, ("--prime", int, None, None, False, None),
+    )),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """argparse's parser for `GRAMMAR`: what prints help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="siegel2",
         description="exact computations in the ring of degree-2 Siegel modular forms",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--trace-bound", type=int, default=DEFAULT_TRACE_BOUND,
-            help="truncation: indices with trace <= N are tracked "
-            f"(default {DEFAULT_TRACE_BOUND}, at most {MAX_TRACE_BOUND})",
-        )
-        p.add_argument(
-            "--cache-dir", default=None,
-            help=f"expansion cache directory (default ${ENV_CACHE_DIR} or ./.siegel2-cache)",
-        )
-
-    def format_option(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format", choices=("table", "lines"), default="table",
-            help="human table or bare machine lines",
-        )
-
-    p = sub.add_parser("build", help="build and cache the generators")
-    common(p)
-    p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("verify", help="run the congruence verification")
-    common(p)
-    p.add_argument(
-        "--prime", type=int, choices=(23, 5), default=DEFAULT_PRIME,
-        help="23: the X35 congruence; 5: the theta(X6) = 4*X12 identity",
-    )
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("coeff", help="print a(T) of an expression")
-    common(p)
-    format_option(p)
-    p.add_argument("expr")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("--prime", type=int, default=None, help="reduce mod this prime first")
-    p.set_defaults(func=_cmd_coeff)
-
-    p = sub.add_parser("minmat", help="p-minimum matrix of an expression")
-    common(p)
-    format_option(p)
-    p.add_argument("expr")
-    p.add_argument("--prime", type=int, required=True)
-    p.set_defaults(func=_cmd_minmat)
-
-    p = sub.add_parser("theta", help="dump the theta image of an expression")
-    common(p)
-    p.add_argument("expr")
-    p.add_argument("--prime", type=int, default=None)
-    p.set_defaults(func=_cmd_theta)
-
-    p = sub.add_parser("sturm", help="finite vanishing criterion mod p")
-    common(p)
-    p.add_argument("expr")
-    p.add_argument("--prime", type=int, required=True)
-    p.set_defaults(func=_cmd_sturm)
-
-    p = sub.add_parser("dump", help="dump an expression in the cache text format")
-    common(p)
-    p.add_argument("expr")
-    p.add_argument("--prime", type=int, default=None)
-    p.set_defaults(func=_cmd_dump)
-
+    for command, (text, handler, positionals, options) in GRAMMAR.items():
+        p = sub.add_parser(command, help=text)
+        for flag, kind, default, choices, required, help_ in options:
+            p.add_argument(flag, type=kind, default=default, choices=choices,
+                           required=required, help=help_)
+        for name, kind in positionals:
+            p.add_argument(name, type=kind)
+        p.set_defaults(func=handler)
     return parser
 
 
+def _dashed(token: str) -> bool:
+    """A token `_read` takes for an option string: '-' first, unless the
+    rest is decimal digits, a negative number to argparse.  The other
+    negative numbers argparse knows (-.5, -1.5) read as dashed: refused."""
+    return token.startswith("-") and not token[1:].isdecimal()
+
+
+def _read(argv):
+    """The attributes `build_parser().parse_args(argv)` sets, read from
+    `GRAMMAR` without argparse; None where argparse may answer otherwise.
+
+    That is a dashed token other than an exact flag of the command (-h,
+    an abbreviation, --flag=value, '--'), a missing or dashed value, a
+    failed conversion, a value outside the choices, a missing required
+    option and a wrong count of positionals.  A repeated option keeps its
+    last value, as with argparse.
+    """
+    if not argv or argv[0] not in GRAMMAR:
+        return None
+    _, handler, positionals, options = GRAMMAR[argv[0]]
+    attrs, flags, missing = {}, {}, set()
+    for flag, kind, default, choices, required, _ in options:
+        dest = flag[2:].replace("-", "_")
+        attrs[dest] = default
+        flags[flag] = dest, kind, choices
+        if required:
+            missing.add(flag)
+    words = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not _dashed(token):
+            words.append(token)
+            continue
+        value = next(tokens, "-")  # no value left reads as dashed
+        if token not in flags or _dashed(value):
+            return None
+        dest, kind, choices = flags[token]
+        try:
+            value = kind(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        attrs[dest] = value
+        missing.discard(token)
+    if missing or len(words) != len(positionals):
+        return None
+    for (name, kind), word in zip(positionals, words):
+        try:
+            attrs[name] = kind(word)
+        except ValueError:
+            return None
+    return {"command": argv[0], **attrs, "func": handler}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    attrs = _read(argv)
+    args = build_parser().parse_args(argv) if attrs is None else SimpleNamespace(**attrs)
     _bind(*_USES[args.command])
     try:
         check_trace_bound(args.trace_bound)
         args.cache_dir = _cache_dir(args.cache_dir)
         return args.func(args)
+    except BrokenPipeError:
+        raise  # a closed stdout is no usage error: `entry` ends the process
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -313,7 +370,19 @@ def entry(argv=None) -> None:
     tables, is frozen first, so no later collection walks it, the passes
     at interpreter exit included."""
     gc.freeze()
-    raise SystemExit(main(argv))
+    try:
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse's help and usage errors
+            status = exc.code
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+    except BrokenPipeError:
+        # as the Python docs advise for SIGPIPE: what is left in the buffer
+        # goes to devnull, so the flush at exit raises nothing; the status
+        # is 128 + SIGPIPE, as for a process the signal ended
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

@@ -5,11 +5,17 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import siegel2
+from parser_texts import HELP, USAGE_ERRORS
 from siegel2 import cli, igusa
 from siegel2.cli import ENV_CACHE_DIR, MAX_TRACE_BOUND, _print_certificate, main, verify_certificate
 from siegel2.expr import MAX_NESTING
@@ -586,6 +592,152 @@ def test_flag_overrides_env_var(cli_cache, tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "unused").exists()
 
 
+@pytest.mark.parametrize("command", [["build"], ["coeff", "X4", "1", "0", "0"]], ids=" ".join)
+def test_an_empty_env_var_reads_as_unset(tmp_path, capsys, monkeypatch, command):
+    # an empty path would be the working directory: the ten files would land there
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(ENV_CACHE_DIR, "")
+    status, out, err = run(capsys, *command, "--trace-bound", 5)
+    assert (status, err) == (0, "")
+    assert [path.name for path in tmp_path.iterdir()] == [".siegel2-cache"]
+    assert len(list((tmp_path / ".siegel2-cache").iterdir())) == len(CACHE_NAMES)
+
+
+@pytest.mark.parametrize("command", [["build"], ["verify"], ["coeff", "X4", "1", "0", "0"]],
+                         ids=" ".join)
+def test_an_empty_cache_dir_is_refused_before_any_cache_is_read(tmp_path, capsys, monkeypatch,
+                                                                 command):
+    monkeypatch.chdir(tmp_path)
+    status, out, err = run(capsys, *command, "--trace-bound", 9, "--cache-dir", "")
+    assert (status, out, err) == (2, "", "error: --cache-dir is empty\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# ----- parser --------------------------------------------------------------
+
+
+def _exits(argv):
+    """(status, stdout, stderr) of `main(argv)` where it exits."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+# the texts were printed by Python 3.11's argparse, whose wording and wrapping
+# other versions change
+PINNED_ARGPARSE = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                                     reason="texts printed by Python 3.11's argparse")
+
+
+@PINNED_ARGPARSE
+@pytest.mark.parametrize("command", list(HELP), ids=lambda command: command or "top")
+def test_help_is_the_pinned_text(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"] if command else ["--help"]
+    assert _exits(argv) == (0, HELP[command], "")
+
+
+@PINNED_ARGPARSE
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS), ids=" ".join)
+def test_a_usage_error_is_the_pinned_text(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exits(list(argv)) == (2, "", USAGE_ERRORS[argv])
+
+
+@cache
+def _parser():
+    return cli.build_parser()
+
+
+def _parsed(argv):
+    """vars() of argparse's namespace for `argv`, or None where it exits."""
+    try:
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            return vars(_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@pytest.mark.parametrize("argv", [
+    ["build"],
+    ["verify", "--prime", "5", "--trace-bound", "16", "--cache-dir", "c"],
+    ["coeff", "X35", "3", "4", "2"],
+    ["coeff", "X10*X12*X4", "3", "4", "-2", "--prime", "23", "--format", "lines"],
+    ["coeff", "--prime", "-7", "X4", "-1", "--cache-dir", "-5", "0", "-0"],  # negative numbers
+    ["coeff", "X4", "1", "--trace-bound", "9", "--trace-bound", "10", "0", "0"],  # the last wins
+    ["minmat", "X35", "--prime", "23", "--format", "table"],
+    ["theta", "X6", "--prime", "5"],
+    ["sturm", "--prime", "5", "X4-E4"],
+    ["dump", "X4^3 - X6^2", "--cache-dir", ""],
+], ids=" ".join)
+def test_a_well_formed_command_is_read_without_argparse(argv):
+    assert cli._read(argv) == _parsed(argv) is not None
+
+
+# tokens that a perturbation puts in: argparse's abbreviations, --flag=value,
+# '--', help, negative numbers argparse reads as values, bad ints and choices
+NOISE = [
+    "--", "-h", "--help", "--trace", "--cache", "--pr", "--form", "--weight",
+    "--prime=23", "--format=lines", "--trace-bound=9", "--cache-dir=c",
+    "-1", "-0", "-17", "-.5", "-1.5", "-X4", "-", "- 1", "",
+    "x", "1.5", "99", "7", "23", "5", "table", "lines", "X4", "c",
+]
+
+
+def _value(kind, choices):
+    """An option's value: three times in four one it takes, else one argparse refuses."""
+    if choices is not None:
+        good = st.sampled_from([str(choice) for choice in choices])
+    else:
+        good = st.integers(-20, 50).map(str) if kind is int else st.sampled_from(["X4", "c", "-3", ""])
+    return st.one_of(good, good, good, st.sampled_from(["7", "x", "1.5", "-X4", "--prime", "-h"]))
+
+
+@st.composite
+def _argvs(draw):
+    """A well-formed argv of a random command, then up to three tokens
+    inserted, replaced or deleted (the command included)."""
+    command = draw(st.sampled_from(list(cli.GRAMMAR)))
+    _, _, positionals, options = cli.GRAMMAR[command]
+    pieces = [[draw(st.integers(-9, 9).map(str) if kind is int else st.sampled_from(["X4", "X35*X4"]))]
+              for _, kind in positionals]
+    for flag, kind, _, choices, required, _ in options:
+        for _ in range(draw(st.integers(0, 2))):  # options between positionals
+            pieces.insert(draw(st.integers(0, len(pieces))), [flag, draw(_value(kind, choices))])
+    argv = [command, *(token for piece in pieces for token in piece)]
+    flags = [option[0] for option in options]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        token = draw(st.sampled_from(flags) | st.sampled_from(NOISE) | st.sampled_from(list(cli.GRAMMAR)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert" or at == len(argv):
+            argv.insert(at, token)
+        elif edit == "replace":
+            argv[at] = token
+        else:
+            del argv[at]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+@example(["verify", "--prime", "7"])  # outside the choices
+@example(["coeff", "X4", "1", "0", "x"])  # a bad int
+@example(["coeff", "X4", "1", "0", "0", "--cache-dir"])  # no value
+@example(["coeff", "X4", "1", "0", "0", "--cache-dir", "--prime", "5"])  # a flag for a value
+@example(["minmat", "X35"])  # a required option missing
+@example(["dump", "X4", "X6"])  # a positional too many
+@example(["coeff", "X4", "1", "0", "0", "--trace", "9"])  # an abbreviation
+@example(["coeff", "X4", "1", "0", "0", "--prime=5"])
+@example(["coeff", "--", "-X4", "1", "0", "0"])
+@example(["verify", "-h"])
+def test_the_reader_agrees_with_argparse_or_refuses(argv):
+    # None where argparse prints help or a usage error, or may read it otherwise
+    read = cli._read(argv)
+    assert read is None or read == _parsed(argv)
+
+
 # ----- start-up ------------------------------------------------------------
 
 
@@ -607,12 +759,20 @@ def _modules(code):
     return set(out.splitlines()[-1].split())
 
 
+@cache
+def _bare():
+    """The modules a bare interpreter holds: whatever `site` preloads is allowed."""
+    return frozenset(_modules(""))
+
+
 def test_import_loads_no_heavy_stdlib_modules():
-    # compared with a bare interpreter, so whatever `site` preloads is allowed
-    new = _modules("import siegel2.cli") - _modules("")
+    new = _modules("import siegel2.cli") - _bare()
     assert "siegel2.cli" in new
     assert not new & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
+
+# what argparse imports, its first message included (`gettext` imports `locale`)
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 # a command on a complete cache builds nothing: no `construction`; only a
 # product compiles the product kernel, `kernel`
@@ -633,9 +793,18 @@ BUILD = {"construction", "kernel"}
 ], ids=lambda case: " ".join(case) or "import" if isinstance(case, list) else None)
 def test_a_command_imports_only_the_modules_it_uses(cli_cache, argv, used, unused):
     call = f"assert siegel2.cli.main({argv + ['--cache-dir', str(cli_cache)]!r}) == 0" if argv else ""
-    loaded = {m.removeprefix("siegel2.") for m in _modules(f"import siegel2.cli\n{call}")}
+    modules = _modules(f"import siegel2.cli\n{call}")
+    loaded = {m.removeprefix("siegel2.") for m in modules}
     assert used <= loaded
     assert not unused & loaded
+    # a well-formed command is read without argparse
+    assert not (modules - _bare()) & ARGPARSE
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["coeff", "X4", "1", "0"]], ids=" ".join)
+def test_help_and_a_usage_error_import_argparse(argv):
+    code = f"import siegel2.cli\ntry:\n    siegel2.cli.main({argv!r})\nexcept SystemExit:\n    pass"
+    assert "argparse" in _modules(code) - _bare()
 
 
 def test_a_build_into_an_empty_directory_imports_the_construction(tmp_path):
@@ -695,6 +864,23 @@ def test_a_process_started_at_entry_freezes_what_it_tracks(cli_cache, call):
     assert answer == "a((1,0,0); X4) = 240"
     before, after = map(int, counts.split())
     assert after > before
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_ends_the_process_with_the_sigpipe_status(cli_cache, unbuffered):
+    # no usage error (2) and no "Exception ignored" at exit (120): 128 + SIGPIPE, quietly
+    read, write = os.pipe()
+    os.close(read)
+    src = Path(siegel2.__file__).resolve().parents[1]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "siegel2.cli", "build", "--cache-dir", str(cli_cache)],
+            stdout=write, stderr=subprocess.PIPE, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered),
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_main_leaves_the_collector_unfrozen(cli_cache, capsys):
