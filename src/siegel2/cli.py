@@ -277,7 +277,12 @@ def build_parser():
     """argparse's parser for `GRAMMAR`: what prints help and usage errors."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):  # the subparsers' class too
+        def _print_message(self, message, file=None):
+            # argparse's drops the BrokenPipeError of a closed stdout, which `entry` must see
+            (file or sys.stdout).write(message)
+
+    parser = Parser(
         prog="siegel2",
         description="exact computations in the ring of degree-2 Siegel modular forms",
     )

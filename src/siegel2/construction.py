@@ -17,10 +17,10 @@ the lifts at one bound share the map from indices to pairs.
 The degree-2 Eisenstein series E_k (k = 4, 6, 8, 10, 12) lift
 c(D) = 2 / (zeta(1-k) zeta(3-2k)) * H(k-1, D) with Cohen's H, so
 a(0) = 1 and on rank-1 indices the lift degenerates to the classical
--2k/B_k * sigma_{k-1}(content).  Every build cross-checks the family
-against the genus-1 series under the Siegel restriction and checks the
-one-dimensionality identity E4^2 = E8 exactly; a failure of either is a
-construction bug and raises instead of producing output, as does a
+-2k/B_k * sigma_{k-1}(content).  Every build checks each E_k by
+`igusa.check_form` (its Siegel restriction is the genus-1 series) and
+the one-dimensionality identity E4^2 = E8 exactly; a failure of either is
+a construction bug and raises instead of producing output, as does a
 failed solve of `h_series`.
 
 H(r, 0) = zeta(1-2r) = -B_{2r}/(2r).  For r >= 2, sum_N H(r, N) q^N lies
@@ -49,9 +49,8 @@ X10 and X12 lift phi_{10,1} = eta^18 theta(tau, z)^2 and
 (2 pi i)^(-1)-normalized partials of the four even generators: weighting
 the first row by the weights makes the inhomogeneous terms of the
 derivative transformation law cancel, so the determinant is a cusp form
-of weight 4+6+10+12+3 = 35.  A build checks each generator once, at
-the index of `NORMALIZATION`: a cusp form must vanish on rank <= 1, each
-must be 1 at its index, and all coefficients must be integers.
+of weight 4+6+10+12+3 = 35.  A build checks each generator once, by the
+rule a load applies to its cache file (`igusa.check_form`).
 
 The determinant is the Laplace expansion along the rows (k X, d12 X): the
 signed sum of six products of a 2x2 minor of those rows and the
@@ -79,11 +78,11 @@ from math import gcd, isqrt, lcm
 
 from .igusa import (
     GENERATOR_NAMES, NORMALIZATION, SUPPORTED_WEIGHTS, ConstructionError, GeneratorSet,
-    genus1_eisenstein, require_build_bound,
+    check_form, require_build_bound,
 )
 from .kernel import product_sums
 from .numtheory import bernoulli, divisor_sigma, divisors
-from .qexp import Expansion, _canon, iter_l2_indices, order_key
+from .qexp import Expansion, _canon, iter_l2_indices
 
 __all__ = [
     "cohen_h",
@@ -237,13 +236,10 @@ def siegel_eisenstein(k: int, trace_bound: int) -> Expansion:
 
 
 def eisenstein_family(trace_bound: int) -> dict[int, Expansion]:
-    """All supported E_k at one bound, with the mandatory self-checks."""
+    """All supported E_k at one bound, each checked by `check_form`, and E4^2 = E8."""
     family = {k: siegel_eisenstein(k, trace_bound) for k in SUPPORTED_WEIGHTS}
-    for k in SUPPORTED_WEIGHTS:
-        if family[k].phi() != genus1_eisenstein(k, trace_bound):
-            raise ConstructionError(
-                f"restriction of E{k} disagrees with the genus-1 series"
-            )
+    for k, form in family.items():
+        check_form(f"E{k}", form)
     if family[4] * family[4] != family[8]:
         raise ConstructionError("E4^2 != E8: coefficient formula is inconsistent")
     return family
@@ -326,30 +322,12 @@ def build_x35(x4: Expansion, x6: Expansion, x10: Expansion, x12: Expansion) -> E
     if p:
         inverse = pow(pivot, -1, p)
         x35 = {T: v * inverse % p for T, v in det.items()}
-    else:  # a Fraction only where the pivot does not divide, for _check_generator
+    else:  # a Fraction only where the pivot does not divide, for check_form
         x35 = {T: Fraction(v) / pivot if rest else q
                for T, v in det.items() for q, rest in [divmod(v, pivot)]}
     # the determinant is sigma-antisymmetric: its half m <= n gives the rest
     x35 |= {(n, m, r): -v % p if p else -v for (m, n, r), v in x35.items() if m < n}
     return Expansion._raw(35, bound, x35, p)
-
-
-def _check_generator(name: str, F: Expansion) -> None:
-    """Refuse a built generator, naming the least offending index: a nonzero
-    coefficient of rank <= 1 (4mn = r^2) in a cusp form, a value other
-    than 1 at its normalization index, a non-integral coefficient."""
-    index = NORMALIZATION[name]
-    flat = [T for T in F.coeffs if 4 * T[0] * T[1] == T[2] * T[2]] if any(index) else []
-    if flat:
-        raise ConstructionError(
-            f"{name} has a nonzero rank<=1 coefficient at {min(flat, key=order_key)}"
-        )
-    if F.coefficient(index) != 1:
-        raise ConstructionError(f"{name} normalization at {index} failed")
-    bad = [T for T, c in F.coeffs.items() if c.denominator != 1]
-    if bad:
-        T = min(bad, key=order_key)
-        raise ConstructionError(f"non-integral coefficient {F.coeffs[T]} at {T} in {name}")
 
 
 def build_generator_set(trace_bound: int) -> GeneratorSet:
@@ -361,7 +339,7 @@ def build_generator_set(trace_bound: int) -> GeneratorSet:
     forms["X10"], forms["X12"] = build_x10_x12(trace_bound)
     columns = GENERATOR_NAMES[:4]
     for name in columns:  # before build_x35 reads them
-        _check_generator(name, forms[name])
+        check_form(name, forms[name])
     forms["X35"] = build_x35(*(forms[name] for name in columns))
-    _check_generator("X35", forms["X35"])
+    check_form("X35", forms["X35"])
     return GeneratorSet(forms, trace_bound)

@@ -2,20 +2,20 @@
 
 Every command uses this module; only a cache miss builds.  The build
 lives in `construction` (the Eisenstein family from Cohen's H, the Maass
-lifts X10 and X12, the determinant X35 and the check of each generator),
+lifts X10 and X12 and the determinant X35),
 which `ensure_generator_set` imports when the cache is incomplete, binding
 the names of its `__all__` here (see `cli` for the rule).
 
-Generators and normalizations (`NORMALIZATION`):
+The rule of each cache form (`NORMALIZATION`; `check_form` at build and load):
 
-    X4  = E4,  X6 = E6               a((0,0,0)) = 1
+    E4..E12, X4 = E4, X6 = E6        genus-1 restriction, so a((0,0,0)) = 1
     X10, X12: cusp forms             a((1,1,1)) = 1, zero on rank <= 1
-    X35: odd generator               a((2,3,-1)) = 1
+    X35: odd cusp form               a((2,3,-1)) = 1, zero on rank <= 1
 
-A build needs the trace of the X35 index, `MIN_BUILD_BOUND` = 5
-(`require_build_bound`).  The cache holds ten text files, E4..E12 and
-X4..X35, keyed by name, bound and `FORMULA_VERSION`; `load_generator_set`
-reads none of them up front (see `GeneratorSet`).
+and X4..X35 are integral.  A build needs the trace of the X35 index,
+`MIN_BUILD_BOUND` = 5 (`require_build_bound`).  The cache holds ten text
+files, E4..E12 and X4..X35, keyed by name, bound and `FORMULA_VERSION`;
+`load_generator_set` reads none of them up front (see `GeneratorSet`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .numtheory import bernoulli, divisor_sigma
-from .qexp import Expansion
+from .qexp import Expansion, order_key
 
 __all__ = [
     "ConstructionError",
@@ -35,6 +35,7 @@ __all__ = [
     "MIN_BUILD_BOUND",
     "require_build_bound",
     "genus1_eisenstein",
+    "check_form",
     "GeneratorSet",
     "cache_path",
     "save_generator_set",
@@ -47,12 +48,12 @@ FORMULA_VERSION = "v1"
 
 SUPPORTED_WEIGHTS = (4, 6, 8, 10, 12)
 GENERATOR_NAMES = ("X4", "X6", "X10", "X12", "X35")
-# the index where each generator is 1; the cusp forms are those normalized off (0, 0, 0)
-NORMALIZATION = {"X4": (0, 0, 0), "X6": (0, 0, 0), "X10": (1, 1, 1), "X12": (1, 1, 1),
-                 "X35": (2, 3, -1)}
+CACHE_NAMES = ("E4", "E6", "E8", "E10", "E12") + GENERATOR_NAMES
+# the index where each cache form is 1; the cusp forms are those normalized off (0, 0, 0)
+NORMALIZATION = dict.fromkeys(CACHE_NAMES, (0, 0, 0)) | {
+    "X10": (1, 1, 1), "X12": (1, 1, 1), "X35": (2, 3, -1)}
 # a build must reach the X35 normalization index: its trace
 MIN_BUILD_BOUND = sum(NORMALIZATION["X35"][:2])
-CACHE_NAMES = ("E4", "E6", "E8", "E10", "E12") + GENERATOR_NAMES
 # the atoms of the expression language; each name carries its weight
 ATOM_WEIGHTS = {name: int(name[1:]) for name in CACHE_NAMES}
 
@@ -99,16 +100,39 @@ def genus1_eisenstein(k: int, trace_bound: int) -> list:
     return out
 
 
+def check_form(name: str, form: Expansion) -> None:
+    """Refuse a form that breaks the rule of its cache name (module docstring):
+    a ConstructionError naming the least offending index (`order_key`), if any."""
+    index = NORMALIZATION[name]
+    cusp, integral = any(index), name in GENERATOR_NAMES
+    if not cusp and form.phi() != genus1_eisenstein(form.weight, form.trace_bound):
+        raise ConstructionError(f"restriction of {name} disagrees with the genus-1 series")
+    flat, bad = [], []
+    for T, c in form.coeffs.items() if cusp or integral else ():  # one pass
+        if cusp and 4 * T[0] * T[1] == T[2] * T[2]:
+            flat.append(T)
+        if integral and c.denominator != 1:
+            bad.append(T)
+    if flat:
+        T = min(flat, key=order_key)
+        raise ConstructionError(f"{name} has a nonzero rank<=1 coefficient at {T}")
+    if form.coefficient(index) != 1:
+        raise ConstructionError(f"{name} normalization at {index} failed")
+    if bad:
+        T = min(bad, key=order_key)
+        raise ConstructionError(f"non-integral coefficient {form.coeffs[T]} at {T} in {name}")
+
+
 class GeneratorSet:
     """The five ring generators plus the Eisenstein family they came from.
 
     `forms` maps cache names (E4..E12, X4..X35) to expansions.  A built set
     holds all ten.  A set loaded by `load_generator_set` starts with an
     empty `forms` and the paths of the ten cache files: `atom(name)` reads
-    and checks a file (`_load_form`) the first time a caller asks for its
-    form and keeps it in `forms`, so a command reads only the files of the
-    forms it uses.  A set with other forms is a new `GeneratorSet`, not an
-    edited one.
+    and checks a file as a build checks its form (`_load_form`) the first
+    time a caller asks for it and keeps it in `forms`, so a command reads
+    only the files of the forms it uses.  A set with other forms is a new
+    `GeneratorSet`, not an edited one.
     """
 
     __slots__ = ("forms", "trace_bound", "_paths")
@@ -170,8 +194,7 @@ def _load_form(name: str, path: Path, trace_bound: int) -> Expansion:
     ValueError naming the file."""
     try:
         with path.open(newline="") as f:  # no newline translation: "\r\n" is refused
-            text = f.read()
-        exp = Expansion.from_text(text)
+            exp = Expansion.from_text(f.read())
     except ValueError as exc:
         raise ValueError(f"cache file {path}: {exc}") from None
     if exp.trace_bound != trace_bound:
@@ -181,12 +204,10 @@ def _load_form(name: str, path: Path, trace_bound: int) -> Expansion:
             f"cache file {path} holds a {exp._domain()} expansion of weight {exp.weight}, "
             f"expected a rational one of weight {ATOM_WEIGHTS[name]}"
         )
-    eisenstein_type = name[0] == "E" or name in ("X4", "X6")
-    if eisenstein_type and exp.phi() != genus1_eisenstein(exp.weight, trace_bound):
-        raise ValueError(
-            f"cache file {path} is cut short or damaged: its restriction "
-            f"disagrees with the genus-1 series of weight {exp.weight}"
-        )
+    try:
+        check_form(name, exp)
+    except ConstructionError as exc:
+        raise ValueError(f"cache file {path} is cut short or damaged: {exc}") from None
     return exp
 
 
@@ -197,12 +218,13 @@ def load_generator_set(trace_bound: int, cache_dir) -> GeneratorSet | None:
     and checks a file the first time a caller asks for its form, so a
     command reads only the files it uses.  Each file's header must match
     its name: the weight in the name (E10 -> 10, X35 -> 35), the rational
-    domain and the trace bound.  The Siegel restriction of E4..E12, X4 and
-    X6 must be the genus-1 series: their last line, at (N, 0, 0), is
-    nonzero, so a file cut short fails this.  A mismatch raises ValueError
-    naming the file, at that first use.  Other coefficients are *not*
-    re-derived here (a cut X10, X12 or X35 file passes), so integrity
-    questions about a cache are answered by the verification pipeline.
+    domain and the trace bound; its form must pass `check_form`, as at
+    build.  So E4..E12, X4 and X6, whose last line at (N, 0, 0) is nonzero,
+    fail when cut short, as does any file cut before its normalization
+    index.  A failure raises ValueError naming the file, at that first
+    use.  Other coefficients are *not* re-derived (an X10, X12 or X35 file
+    cut past its normalization index passes), so integrity questions
+    about a cache are answered by the verification pipeline.
     """
     paths = {name: cache_path(cache_dir, name, trace_bound) for name in CACHE_NAMES}
     if not all(p.is_file() for p in paths.values()):

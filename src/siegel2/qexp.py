@@ -208,12 +208,8 @@ class Expansion:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Expansion):
             return NotImplemented
-        return (
-            self.weight == other.weight
-            and self.trace_bound == other.trace_bound
-            and self.modulus == other.modulus
-            and self.coeffs == other.coeffs
-        )
+        return (self.weight, self.trace_bound, self.modulus, self.coeffs) == (
+            other.weight, other.trace_bound, other.modulus, other.coeffs)
 
     __hash__ = None  # mutable-ish container semantics
 
@@ -286,10 +282,7 @@ class Expansion:
         if not isinstance(other, Expansion):
             return NotImplemented
         self._require_same_domain(other)
-        if self.weight is None or other.weight is None:
-            w = None
-        else:
-            w = self.weight + other.weight
+        w = None if self.weight is None or other.weight is None else self.weight + other.weight
         bound = min(self.trace_bound, other.trace_bound)
         p = self.modulus
         from .kernel import product_sums  # compiled at the first product only

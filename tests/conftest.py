@@ -1,6 +1,6 @@
 import pytest
 
-from siegel2.igusa import build_generator_set
+from siegel2.construction import build_generator_set
 
 ACCEPTANCE_BOUND = 12
 

@@ -24,7 +24,8 @@ from siegel2.congruence import (
     verify_theta_mod5,
     verify_x35_mod23,
 )
-from siegel2.igusa import build_generator_set, genus1_eisenstein
+from siegel2.construction import build_generator_set
+from siegel2.igusa import genus1_eisenstein
 from indices import index_add
 from siegel2.qexp import Expansion, iter_l2_indices, order_key
 from siegel2.reference import (

@@ -359,8 +359,8 @@ def test_cache_file_cut_short_is_refused(genset9, tmp_path, capsys, name):
     assert len(lines) > 150
     path.write_text("".join(lines[:150]))
     assert run(capsys, *argv) == (2, "", (
-        f"error: cache file {path} is cut short or damaged: its restriction "
-        f"disagrees with the genus-1 series of weight {name[1:]}\n"
+        f"error: cache file {path} is cut short or damaged: restriction of {name} "
+        f"disagrees with the genus-1 series\n"
     ))
 
 
@@ -370,8 +370,8 @@ def _damage(gen, path, name):
     weight = name[1:]
     if name[0] == "E" or name in ("X4", "X6"):
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:150]))
-        return (f"error: cache file {path} is cut short or damaged: its restriction "
-                f"disagrees with the genus-1 series of weight {weight}\n")
+        return (f"error: cache file {path} is cut short or damaged: restriction of {name} "
+                f"disagrees with the genus-1 series\n")
     path.write_text(gen.atom(name).reduce_mod(23).to_text())
     return (f"error: cache file {path} holds a mod 23 expansion of weight {weight}, "
             f"expected a rational one of weight {weight}\n")
@@ -384,6 +384,35 @@ def test_build_checks_every_cache_file(genset9, tmp_path, capsys, name):
     save_generator_set(genset9, tmp_path)
     message = _damage(genset9, cache_path(tmp_path, name, 9), name)
     assert run(capsys, "build", "--trace-bound", 9, "--cache-dir", tmp_path) == (2, "", message)
+
+
+# a line of the trace-5 cache file, what replaces it and the fault the load
+# names; at the parent of the one rule each answered `coeff` with exit 0
+RULE_DAMAGE = {
+    "X12": ("1 1 1 1 1\n", "1 1 1 2 1\n", "X12 normalization at (1, 1, 1) failed"),
+    "X10": ("1 1 -1 1 1\n", "1 0 0 7 1\n1 1 -1 1 1\n",
+            "X10 has a nonzero rank<=1 coefficient at (1, 0, 0)"),
+    "X35": ("2 3 -1 1 1\n", "2 3 -1 1 2\n", "X35 normalization at (2, 3, -1) failed"),
+    "X4": ("1 1 -1 13440 1\n", "1 1 -1 13440 11\n",
+           "non-integral coefficient 13440/11 at (1, 1, -1) in X4"),
+}
+
+
+@pytest.mark.parametrize("name", list(RULE_DAMAGE))
+def test_a_load_refuses_what_a_build_refuses(genset_small, tmp_path, capsys, name):
+    # a load applies the build's rule (`igusa.check_form`) to every cache form
+    save_generator_set(genset_small, tmp_path)
+    path = cache_path(tmp_path, name, 5)
+    line, damaged, fault = RULE_DAMAGE[name]
+    text = path.read_text()
+    assert f"\n{line}" in text
+    path.write_text(text.replace(f"\n{line}", f"\n{damaged}", 1))
+    common = ["--trace-bound", 5, "--cache-dir", tmp_path]
+    assert run(capsys, "coeff", name, *damaged.split()[:3], *common) == (
+        2, "", f"error: cache file {path} is cut short or damaged: {fault}\n"
+    )
+    # the other forms of the cache still answer
+    assert run(capsys, "coeff", "X6", 1, 0, 0, *common) == (0, "a((1,0,0); X6) = -504\n", "")
 
 
 @pytest.mark.parametrize("argv, reads", [
@@ -866,15 +895,20 @@ def test_a_process_started_at_entry_freezes_what_it_tracks(cli_cache, call):
     assert after > before
 
 
-@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
-def test_a_closed_stdout_ends_the_process_with_the_sigpipe_status(cli_cache, unbuffered):
-    # no usage error (2) and no "Exception ignored" at exit (120): 128 + SIGPIPE, quietly
+@pytest.mark.parametrize("argv, unbuffered", [
+    pytest.param(argv, flag, id=" ".join([*argv, mode]).removeprefix("build "))
+    for argv in (["build"], ["--help"], ["coeff", "--help"])
+    for flag, mode in (("1", "unbuffered"), ("", "buffered"))
+])
+def test_a_closed_stdout_ends_the_process_with_the_sigpipe_status(cli_cache, argv, unbuffered):
+    # no usage error (2) and no "Exception ignored" at exit (120): 128 + SIGPIPE,
+    # quietly; also for argparse's help, whose own write drops the error
     read, write = os.pipe()
     os.close(read)
     src = Path(siegel2.__file__).resolve().parents[1]
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "siegel2.cli", "build", "--cache-dir", str(cli_cache)],
+            [sys.executable, "-m", "siegel2.cli", *argv, "--cache-dir", str(cli_cache)],
             stdout=write, stderr=subprocess.PIPE, timeout=60,
             env=dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered),
         )

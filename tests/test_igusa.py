@@ -16,22 +16,24 @@ from math import gcd, isqrt, lcm
 import pytest
 
 from siegel2.cli import main
+from siegel2.construction import (
+    build_generator_set,
+    build_x35,
+    cohen_h,
+    eisenstein_family,
+    maass_lift,
+    siegel_eisenstein,
+)
 from siegel2.igusa import (
     CACHE_NAMES,
     ConstructionError,
     GeneratorSet,
-    build_generator_set,
-    build_x35,
     cache_path,
-    eisenstein_family,
     ensure_generator_set,
     genus1_eisenstein,
     load_generator_set,
-    maass_lift,
     save_generator_set,
-    siegel_eisenstein,
 )
-from siegel2.construction import cohen_h
 from siegel2.numtheory import bernoulli
 from siegel2.qexp import Expansion, iter_l2_indices
 from siegel2.reference import MIN_MATRIX_REFERENCE, X35_LOW_TRACE, x35_reference_violations
@@ -246,6 +248,35 @@ def test_build_refuses_a_generator_off_its_normalization(monkeypatch):
     monkeypatch.setattr(con, "build_x10_x12", corrupted)
     with pytest.raises(ConstructionError, match=re.escape("X12 normalization at (1, 1, 1) failed")):
         build_generator_set(5)
+
+
+@pytest.mark.parametrize("name, fault", [
+    ("X12", "X12 normalization at (1, 1, 1) failed"),
+    ("E8", "restriction of E8 disagrees with the genus-1 series"),
+], ids=["X12", "E8"])
+def test_a_build_and_a_load_refuse_one_fault_in_one_text(
+    monkeypatch, genset_small, tmp_path, name, fault
+):
+    # the form scaled by 2, built or cached: one rule (`igusa.check_form`) refuses both
+    import siegel2.construction as con
+
+    if name == "E8":
+        real_e = con.siegel_eisenstein
+        monkeypatch.setattr(con, "siegel_eisenstein",
+                            lambda k, bound: real_e(k, bound).scale(2 if k == 8 else 1))
+    else:
+        real_x = con.build_x10_x12
+        monkeypatch.setattr(con, "build_x10_x12",
+                            lambda bound: (real_x(bound)[0], real_x(bound)[1].scale(2)))
+    with pytest.raises(ConstructionError) as built:
+        build_generator_set(5)
+    forms = {**genset_small.forms, name: genset_small.atom(name).scale(2)}
+    save_generator_set(GeneratorSet(forms, 5), tmp_path)
+    with pytest.raises(ValueError) as loaded:
+        load_generator_set(5, tmp_path).atom(name)
+    path = cache_path(tmp_path, name, 5)
+    assert str(built.value) == fault
+    assert str(loaded.value) == f"cache file {path} is cut short or damaged: {fault}"
 
 
 def test_build_refuses_a_non_integral_coefficient_at_the_least_index(monkeypatch):

@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from siegel2 import construction
-from siegel2.construction import cohen_h, h_series
-from siegel2.igusa import ConstructionError, siegel_eisenstein
+from siegel2.construction import cohen_h, h_series, siegel_eisenstein
+from siegel2.igusa import ConstructionError
 from siegel2.numtheory import (
     bernoulli,
     divisor_sigma,

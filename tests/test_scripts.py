@@ -20,12 +20,13 @@ def load_script(name):
 
 
 def test_reproduce_mod23_refutes_a_cache_that_verify_refutes(genset9, tmp_path, capsys):
-    # 24 = 1 mod 23, so only the reference coefficients catch this edit
+    # -32361 = -32384 mod 23, off the normalization index, so only the
+    # reference coefficients catch this edit
     save_generator_set(genset9, tmp_path)
     x35_file = cache_path(tmp_path, "X35", 9)
     text = x35_file.read_text()
-    assert "\n2 3 -1 1 1\n" in text
-    x35_file.write_text(text.replace("\n2 3 -1 1 1\n", "\n2 3 -1 24 1\n"))
+    assert "\n3 4 -2 -32384 1\n" in text
+    x35_file.write_text(text.replace("\n3 4 -2 -32384 1\n", "\n3 4 -2 -32361 1\n"))
 
     argv = ["--trace-bound", "9", "--cache-dir", str(tmp_path)]
     assert main(["verify", *argv]) == 1
@@ -33,6 +34,26 @@ def test_reproduce_mod23_refutes_a_cache_that_verify_refutes(genset9, tmp_path, 
     assert "verdict: Refuted" in verify_out.out
 
     assert load_script("reproduce_mod23").main(argv) == 1
+    assert capsys.readouterr() == verify_out
+
+
+def test_reproduce_mod23_refuses_a_cache_that_verify_refuses(genset9, tmp_path, capsys):
+    # 24 = 1 mod 23 at the normalization index: the load's rule refuses it
+    save_generator_set(genset9, tmp_path)
+    x35_file = cache_path(tmp_path, "X35", 9)
+    text = x35_file.read_text()
+    assert "\n2 3 -1 1 1\n" in text
+    x35_file.write_text(text.replace("\n2 3 -1 1 1\n", "\n2 3 -1 24 1\n"))
+
+    argv = ["--trace-bound", "9", "--cache-dir", str(tmp_path)]
+    assert main(["verify", *argv]) == 2
+    verify_out = capsys.readouterr()
+    assert verify_out == ("", (
+        f"error: cache file {x35_file} is cut short or damaged: "
+        "X35 normalization at (2, 3, -1) failed\n"
+    ))
+
+    assert load_script("reproduce_mod23").main(argv) == 2
     assert capsys.readouterr() == verify_out
 
 

@@ -4,7 +4,8 @@
 (`cli.min_matrix`, `Expansion.derivative`, ...).  A rename or deletion in
 the package would otherwise break only traced benchmark runs; here each
 command runs under the tracer, on a warm cache at trace bound 9, and
-must exit as usual and record the spans of the layers it goes through.
+must exit as usual and record the spans of the layers it goes through;
+a cold build runs too.
 """
 
 import json
@@ -62,3 +63,21 @@ def test_tracer_runs_each_command(cache9, tmp_path, argv):
     assert proc.returncode == status, proc.stderr
     recorded = {span[0] for span in json.loads(spans.read_text())["spans"]}
     assert recorded == names
+
+
+def test_tracer_runs_a_cold_build(tmp_path):
+    # a build into an empty directory: the construction checks each form
+    # (`igusa.check_form`) inside the span of `igusa.build_generator_set`
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(TRACER), str(spans), "build",
+         "--trace-bound", "5", "--cache-dir", str(tmp_path / "cache")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    recorded = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert recorded == {
+        "cli.main", "igusa.build_generator_set", "igusa.load", "igusa.save",
+        "qexp.mul.rational", "qexp.to_text", "trace.bookkeeping",
+    }
